@@ -20,6 +20,7 @@ class System::OramSink : public workload::MemorySink
     explicit OramSink(core::OramController &ctrl) : ctrl_(ctrl) {}
 
     bool canAccept() const override { return ctrl_.canAccept(); }
+    bool capacityChangesOnlyInEvents() const override { return true; }
 
     bool
     access(const workload::MemRequest &req,
@@ -51,6 +52,7 @@ class System::ShardedSink : public workload::MemorySink
     }
 
     bool canAccept() const override { return sharded_.canAccept(); }
+    bool capacityChangesOnlyInEvents() const override { return true; }
 
     bool
     access(const workload::MemRequest &req,
@@ -87,6 +89,7 @@ class System::InsecureSink : public workload::MemorySink
     {
         return outstanding_ < maxOutstanding_;
     }
+    bool capacityChangesOnlyInEvents() const override { return true; }
 
     bool
     access(const workload::MemRequest &req,
@@ -414,7 +417,7 @@ System::run(Tick limit)
                 hit_limit = true;
                 break;
             }
-            bool progressed = eq_.step();
+            bool progressed = eq_.step(limit);
             fp_assert(progressed || allDone(),
                       "deadlock: no events but cores unfinished");
         }

@@ -38,6 +38,34 @@ CoreModel::scheduleTry(Tick when)
 }
 
 void
+CoreModel::scheduleRetry(Tick now)
+{
+    const Tick period = params_.retryCycles * params_.cpuPeriodTicks;
+    if (!sink_.capacityChangesOnlyInEvents()) {
+        scheduleTry(now + period);
+        return;
+    }
+    if (tryScheduled_)
+        return;
+    tryScheduled_ = true;
+    eq_.schedulePoll(now + period, period, [this] {
+        if (blockedOnSink())
+            return true;
+        tryScheduled_ = false;
+        tryIssue();
+        return false;
+    });
+}
+
+bool
+CoreModel::blockedOnSink() const
+{
+    return issued_ < params_.totalRequests &&
+           outstanding_ < params_.maxOutstanding &&
+           eq_.now() >= nextIssueAt_ && !sink_.canAccept();
+}
+
+void
 CoreModel::tryIssue()
 {
     while (true) {
@@ -51,8 +79,7 @@ CoreModel::tryIssue()
             return;
         }
         if (!sink_.canAccept()) {
-            scheduleTry(now + params_.retryCycles *
-                                  params_.cpuPeriodTicks);
+            scheduleRetry(now);
             return;
         }
 
@@ -75,8 +102,7 @@ CoreModel::tryIssue()
             --issued_;
             --outstanding_;
             nextIssueAt_ = now;
-            scheduleTry(now + params_.retryCycles *
-                                  params_.cpuPeriodTicks);
+            scheduleRetry(now);
             return;
         }
     }

@@ -46,6 +46,15 @@ class MemorySink
     virtual bool canAccept() const = 0;
 
     /**
+     * True if canAccept() changes only inside events on the core's
+     * queue (or inside access()), never with the passage of time
+     * alone. A core refused by such a sink waits on an EventQueue
+     * poll, whose idle firings the kernel skips; other sinks are
+     * re-polled by an ordinary event every retry period.
+     */
+    virtual bool capacityChangesOnlyInEvents() const { return false; }
+
+    /**
      * Issue one miss. @p on_response fires at data return.
      * @return false if the sink is full (retry later).
      */
@@ -62,7 +71,13 @@ struct CoreParams
     unsigned maxOutstanding = 8;
     /** Misses to issue before the core finishes. */
     std::uint64_t totalRequests = 10000;
-    /** Retry delay when the sink refuses a request, in CPU cycles. */
+    /**
+     * Period, in CPU cycles, on which a core refused by its sink asks
+     * again. Requests issue only on this grid, so it shapes results.
+     * Against a sink whose capacity changes only in events the
+     * re-asking is an EventQueue poll whose idle firings cost no host
+     * time; the issue ticks are the same either way.
+     */
     unsigned retryCycles = 50;
 };
 
@@ -97,6 +112,10 @@ class CoreModel
   private:
     void tryIssue();
     void scheduleTry(Tick when);
+    /** Ask the sink again one retry period after @p now. */
+    void scheduleRetry(Tick now);
+    /** True when all a try would do is find the sink full again. */
+    bool blockedOnSink() const;
     void onResponse(Tick issue_tick);
 
     CoreParams params_;

@@ -568,6 +568,239 @@ TEST(EventQueue, RunWhile)
     EXPECT_EQ(fired, 3);
 }
 
+// --- periodic polls -------------------------------------------------------
+
+TEST(EventQueue, PollFiresOnGridUntilItReturnsFalse)
+{
+    EventQueue eq;
+    std::vector<Tick> fires;
+    eq.schedulePoll(7, 10, [&] {
+        fires.push_back(eq.now());
+        return fires.size() < 3;
+    });
+    EXPECT_EQ(eq.size(), 1u);
+    eq.run();
+    EXPECT_EQ(fires, (std::vector<Tick>{7, 17, 27}));
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, NewPollFiresOnItsFirstTickAheadOfLaterEvents)
+{
+    // No poll may be skipped before it has fired once.
+    EventQueue eq;
+    std::vector<Tick> fires;
+    eq.schedule(1000, [] {});
+    eq.schedulePoll(7, 10, [&] {
+        fires.push_back(eq.now());
+        return false;
+    });
+    eq.run();
+    EXPECT_EQ(fires, (std::vector<Tick>{7}));
+}
+
+TEST(EventQueue, IdlePollIsSkippedUpToTheNextEvent)
+{
+    // A poll that only re-arms costs nothing between events: it next
+    // fires on its first grid tick after the event that changes its
+    // answer, and a same-tick poll re-arm queues behind that event.
+    EventQueue eq;
+    bool open = false;
+    std::vector<std::pair<Tick, char>> log;
+    eq.schedulePoll(0, 10, [&] {
+        if (!open)
+            return true;
+        log.emplace_back(eq.now(), 'p');
+        return false;
+    });
+    eq.schedule(1'000'000, [&] {
+        open = true;
+        log.emplace_back(eq.now(), 'e');
+    });
+    const std::uint64_t executed = eq.run();
+    EXPECT_EQ(log, (std::vector<std::pair<Tick, char>>{
+                       {1'000'000, 'e'}, {1'000'000, 'p'}}));
+    EXPECT_LT(executed, 10u);
+}
+
+TEST(EventQueue, PollDueOnAnEventsTickFiresBeforeIt)
+{
+    // The event is queued after the poll re-armed for tick 10, so the
+    // poll's (idle) firing at 10 comes first and it acts at 20.
+    EventQueue eq;
+    bool open = false;
+    std::vector<std::pair<Tick, char>> log;
+    eq.schedulePoll(0, 10, [&] {
+        if (!open)
+            return true;
+        log.emplace_back(eq.now(), 'p');
+        return false;
+    });
+    eq.run(5);
+    eq.schedule(10, [&] {
+        open = true;
+        log.emplace_back(eq.now(), 'e');
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::pair<Tick, char>>{{10, 'e'},
+                                                        {20, 'p'}}));
+}
+
+/**
+ * A seeded world of events and polls competing for credits, run
+ * either on schedulePoll() or on a reference that re-schedules a
+ * plain event every period. Only work that acts is logged, so the
+ * two runs must log the same (tick, id) sequence.
+ */
+class PollWorld
+{
+  public:
+    PollWorld(bool use_polls, std::uint64_t seed)
+        : usePolls_(use_polls), rng_(seed)
+    {
+    }
+    // Queued callbacks hold this object's address.
+    PollWorld(const PollWorld &) = delete;
+    PollWorld &operator=(const PollWorld &) = delete;
+
+    /** Polls sharing a few periods and phases, plus seed events,
+     *  registered outside any event. Without @p late_event the heap
+     *  empties while polls whose credits never come still spin. */
+    void
+    populate(bool late_event)
+    {
+        for (int i = 0; i < 6; ++i)
+            addPoll(rng_.uniformInt(8));
+        for (int i = 0; i < 4; ++i)
+            addEvent(rng_.uniformInt(40));
+        if (late_event)
+            addEvent(5900);
+    }
+
+    /** An event that acts at @p when, queued behind everything. */
+    void
+    addEvent(Tick when)
+    {
+        const int id = nextId_++;
+        eq.schedule(when, [this, id] {
+            log.emplace_back(eq.now(), id);
+            if (rng_.chance(0.5))
+                ++credits_[rng_.uniformInt(3)];
+            act();
+        });
+    }
+
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> log;
+
+  private:
+    static constexpr Tick periods[] = {3, 4, 6, 12};
+
+    void
+    addPoll(Tick first)
+    {
+        const int id = nextId_++;
+        const unsigned k = static_cast<unsigned>(rng_.uniformInt(3));
+        const Tick period = periods[rng_.uniformInt(4)];
+        PollFn fn = [this, id, k] {
+            if (credits_[k] == 0)
+                return true;
+            --credits_[k];
+            log.emplace_back(eq.now(), id);
+            // Acting may open another poll's way, not only close it.
+            if (rng_.chance(0.3))
+                ++credits_[rng_.uniformInt(3)];
+            act();
+            return false;
+        };
+        if (usePolls_)
+            eq.schedulePoll(first, period, std::move(fn));
+        else
+            rearm(first, period, std::move(fn));
+    }
+
+    void
+    rearm(Tick when, Tick period, PollFn fn)
+    {
+        eq.schedule(when, [this, period, fn] {
+            if (fn())
+                rearm(eq.now() + period, period, fn);
+        });
+    }
+
+    /** Follow-up work: events (same-tick ones included) and polls,
+     *  registered from events and from polls alike. */
+    void
+    act()
+    {
+        if (budget_ == 0)
+            return;
+        --budget_;
+        if (rng_.chance(0.7))
+            addEvent(eq.now() +
+                     (rng_.chance(0.25) ? 0 : rng_.uniformInt(200)));
+        if (rng_.chance(0.35))
+            addPoll(eq.now() + rng_.uniformInt(8));
+    }
+
+    bool usePolls_;
+    Rng rng_;
+    int credits_[3] = {0, 0, 0};
+    int nextId_ = 0;
+    int budget_ = 120;
+};
+
+TEST(EventQueue, PollsMatchPerPeriodReferenceOverRandomMixes)
+{
+    std::uint64_t ref_executed = 0, poll_executed = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        PollWorld ref(false, seed), polls(true, seed);
+        ref.populate(seed % 2 == 0);
+        polls.populate(seed % 2 == 0);
+        // Truncate mid-run, then stop for good.
+        Rng lr(seed * 31);
+        const Tick cut = lr.uniformInt(1000);
+        const Tick end = 6000 + lr.uniformInt(100);
+        for (Tick limit : {cut, end}) {
+            const std::uint64_t a = ref.eq.run(limit);
+            const std::uint64_t b = polls.eq.run(limit);
+            if (seed % 2 == 0) {
+                ref_executed += a;
+                poll_executed += b;
+            }
+            ASSERT_EQ(polls.log, ref.log);
+            ASSERT_EQ(polls.eq.now(), ref.eq.now());
+            ASSERT_EQ(polls.eq.size(), ref.eq.size());
+            // Work queued from outside, after polls already pending on
+            // its tick (see PollDueOnAnEventsTickFiresBeforeIt).
+            const Tick at = limit + 1 + lr.uniformInt(12);
+            ref.addEvent(at);
+            polls.addEvent(at);
+        }
+    }
+    // With a late event bounding every idle stretch, skipping must
+    // save most firings, or the comparison would mean little.
+    EXPECT_LT(poll_executed * 5, ref_executed);
+}
+
+TEST(EventQueue, StepLimitStopsOnTheSameTickAsThePerPeriodReference)
+{
+    // The full-system drive loop: step until now() passes a limit.
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        PollWorld ref(false, seed), polls(true, seed);
+        ref.populate(seed % 2 == 0);
+        polls.populate(seed % 2 == 0);
+        const Tick limit = Rng(seed * 17).uniformInt(7000);
+        while (!ref.eq.empty() && ref.eq.now() <= limit)
+            ref.eq.step();
+        while (!polls.eq.empty() && polls.eq.now() <= limit)
+            polls.eq.step(limit);
+        ASSERT_EQ(polls.log, ref.log);
+        ASSERT_EQ(polls.eq.now(), ref.eq.now());
+    }
+}
+
 // --- timer ----------------------------------------------------------------
 
 TEST(Timer, FiresOnceAtDeadline)

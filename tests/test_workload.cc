@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/event_queue.hh"
 #include "workload/core_model.hh"
@@ -278,6 +281,146 @@ TEST(CoreModel, MissLatencyRecorded)
     eq.run();
     EXPECT_EQ(core.missLatency().count(), 50u);
     EXPECT_NEAR(core.missLatency().mean(), 2.0, 0.1); // 2000 ticks = 2ns
+}
+
+// --- core model: refused by a full sink ----------------------------------
+
+/** A few slots shared by several cores; a slot frees only when its
+ *  response event runs, so the sink may opt in to idle-poll skipping.
+ *  One response in four is 100x faster, so some cores get an answer,
+ *  and issue again, while their retry is pending. */
+class SlotSink : public MemorySink
+{
+  public:
+    SlotSink(EventQueue &eq, unsigned slots, Tick latency, bool opt_in)
+        : eq_(eq), slots_(slots), latency_(latency), optIn_(opt_in)
+    {
+    }
+
+    bool canAccept() const override { return inFlight_ < slots_; }
+    bool capacityChangesOnlyInEvents() const override { return optIn_; }
+
+    bool
+    access(const MemRequest &req, ResponseFn on_response) override
+    {
+        if (!canAccept())
+            return false;
+        ++inFlight_;
+        issues.emplace_back(eq_.now(), req.addr);
+        const Tick latency =
+            rng_.chance(0.25) ? latency_ / 100 : latency_;
+        eq_.scheduleIn(latency, [this, cb = std::move(on_response)] {
+            --inFlight_;
+            cb(eq_.now());
+        });
+        return true;
+    }
+
+    std::vector<std::pair<Tick, BlockAddr>> issues;
+
+  private:
+    EventQueue &eq_;
+    unsigned slots_;
+    Tick latency_;
+    bool optIn_;
+    unsigned inFlight_ = 0;
+    Rng rng_{7};
+};
+
+TEST(CoreModel, SkippedIdlePollsKeepIssueTicksAndCutEvents)
+{
+    struct Outcome
+    {
+        std::vector<std::pair<Tick, BlockAddr>> issues;
+        std::vector<Tick> finish;
+        std::vector<std::vector<std::uint64_t>> latencyBuckets;
+        std::vector<double> latencyMeans;
+        std::uint64_t executed;
+    };
+    auto run = [](bool opt_in) {
+        EventQueue eq;
+        // Two misses per core over three slots keep the sink full,
+        // and most responses take 200 retry periods, so blocked cores
+        // idle for long stretches.
+        SlotSink sink(eq, 3, 200 * 50 * 500, opt_in);
+        const auto profiles = mixProfiles("Mix3");
+        std::vector<std::unique_ptr<CoreModel>> cores;
+        for (unsigned c = 0; c < 4; ++c) {
+            CoreParams cp;
+            cp.coreId = c;
+            cp.maxOutstanding = 2;
+            cp.totalRequests = 60;
+            cores.push_back(std::make_unique<CoreModel>(
+                cp, profiles[c], c * 100000, 9, eq, sink));
+        }
+        for (auto &core : cores)
+            core->start();
+        Outcome out;
+        out.executed = eq.run();
+        out.issues = sink.issues;
+        for (const auto &core : cores) {
+            EXPECT_TRUE(core->done());
+            out.finish.push_back(core->finishTick());
+            out.latencyBuckets.push_back(core->missLatency().buckets());
+            out.latencyMeans.push_back(core->missLatency().mean());
+        }
+        return out;
+    };
+    const Outcome polled = run(false), skipped = run(true);
+    EXPECT_EQ(skipped.issues, polled.issues);
+    EXPECT_EQ(skipped.finish, polled.finish);
+    EXPECT_EQ(skipped.latencyBuckets, polled.latencyBuckets);
+    EXPECT_EQ(skipped.latencyMeans, polled.latencyMeans);
+    EXPECT_EQ(polled.issues.size(), 240u);
+    EXPECT_GE(polled.executed, 10 * skipped.executed);
+}
+
+/** Opens at a fixed tick whatever the queue does: time-driven, so it
+ *  must not opt in, and the core keeps polling every period. */
+class OpensAtSink : public MemorySink
+{
+  public:
+    OpensAtSink(EventQueue &eq, Tick open_at) : eq_(eq), openAt_(open_at)
+    {
+    }
+
+    bool canAccept() const override { return eq_.now() >= openAt_; }
+
+    bool
+    access(const MemRequest &, ResponseFn on_response) override
+    {
+        if (!canAccept())
+            return false;
+        issueTick = eq_.now();
+        eq_.scheduleIn(1000, [this, cb = std::move(on_response)] {
+            cb(eq_.now());
+        });
+        return true;
+    }
+
+    Tick issueTick = 0;
+
+  private:
+    EventQueue &eq_;
+    Tick openAt_;
+};
+
+TEST(CoreModel, TimeDrivenSinkIssuesOnFirstGridTickAfterOpening)
+{
+    EventQueue eq;
+    const Tick open_at = 1'234'567;
+    OpensAtSink sink(eq, open_at);
+    // An unrelated event far beyond the opening: a core that skipped
+    // its idle polls would jump straight to it.
+    eq.schedule(100 * open_at, [] {});
+    CoreParams cp;
+    cp.totalRequests = 1;
+    CoreModel core(cp, specProfile("mcf"), 0, 1, eq, sink);
+    core.start();
+    eq.run();
+    const Tick period = cp.retryCycles * cp.cpuPeriodTicks;
+    EXPECT_TRUE(core.done());
+    EXPECT_EQ(sink.issueTick, (open_at + period - 1) / period * period);
 }
 
 } // anonymous namespace
