@@ -16,6 +16,7 @@
  */
 
 #include <chrono>
+#include <iostream>
 #include <vector>
 
 #include "core/label_queue.hh"
@@ -23,18 +24,19 @@
 #include "core/plb.hh"
 #include "crypto/counter_mode.hh"
 #include "dram/dram_system.hh"
-#include "fig_common.hh"
 #include "mem/net_backend.hh"
 #include "mem/tree_geometry.hh"
 #include "oram/integrity.hh"
 #include "oram/path_oram.hh"
 #include "oram/stash.hh"
 #include "sim/metrics.hh"
+#include "sim/sweep.hh"
+#include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "util/table.hh"
 
 using namespace fp;
-using namespace fp::bench;
 
 namespace
 {
@@ -288,11 +290,14 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     const double min_ms = args.getDouble("min-ms", 20.0);
-    BenchOptions opt = parseOptions(args);
-
-    banner("Component microbenchmarks (host-side cost)",
-           "n/a — these measure simulator throughput, not a paper "
-           "figure");
+    const bool csv = args.getBool("csv");
+    if (!csv) {
+        std::cout << std::string(56, '=') << "\n"
+                  << "Component microbenchmarks (host-side cost)\n"
+                  << "paper reports: n/a — these measure simulator "
+                     "throughput, not a paper figure\n"
+                  << std::string(56, '=') << "\n\n";
+    }
 
     auto micros = buildMicros();
     std::vector<MicroResult> results(micros.size());
@@ -304,7 +309,7 @@ main(int argc, char **argv)
         }});
     }
 
-    sim::SweepRunner runner(opt.sweep);
+    sim::SweepRunner runner(sim::sweepOptionsFromArgs(args));
     for (const auto &out : runner.runTasks(std::move(tasks))) {
         if (!out.ok)
             fp_fatal("micro '%s' failed: %s", out.name.c_str(),
@@ -320,6 +325,10 @@ main(int argc, char **argv)
                       TextTable::fmt(1e3 / r.nsPerOp, 2),
                       TextTable::fmt(r.iters)});
     }
-    emit(table);
+    if (csv)
+        table.printCsv(std::cout);
+    else
+        table.print(std::cout);
+    std::cout << "\n";
     return 0;
 }

@@ -189,8 +189,8 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
 /**
  * Everything a scenario needs at run time: the spec, the command
  * line, the resolved base config and mix list, and sweep helpers
- * that reproduce the legacy fig_common semantics (policy forcing,
- * fatal failed points, csv-aware emission) plus provenance stamping.
+ * (policy forcing, fatal failed points, csv-aware emission) plus
+ * provenance stamping.
  */
 class ScenarioContext
 {

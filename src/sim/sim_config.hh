@@ -113,9 +113,10 @@ struct SimConfig
     mem::FaultParams faults;
     /**
      * Retry policy above the fault model. timeoutUs == 0 (default)
-     * leaves the choice to the System: it picks a backend-appropriate
-     * deadline when faults are enabled, and builds no resilient layer
-     * otherwise. A non-zero value forces the layer on, faults or not.
+     * leaves the choice to sim::MemoryStack: it picks a
+     * backend-appropriate deadline when faults are enabled, and
+     * builds no resilient layer otherwise. A non-zero value forces
+     * the layer on, faults or not.
      */
     mem::RetryParams retry;
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "dram/dram_backend.hh"
 #include "sim/sim_config.hh"
 #include "util/logging.hh"
 
@@ -16,63 +15,32 @@ SyncOram::SyncOram(core::ControllerParams controller)
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    dram::DramParams dram)
-    : SyncOram(std::move(controller), &dram, nullptr)
+    : stack_(BackendKind::dram, dram, {}, {}, {}, eq_)
 {
+    buildController(controller);
 }
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    mem::NetBackendParams net)
-    : SyncOram(std::move(controller), nullptr, &net)
+    : SyncOram(std::move(controller), net, {}, {})
 {
 }
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    mem::NetBackendParams net, mem::FaultParams faults,
                    mem::RetryParams retry)
-    : SyncOram(std::move(controller), nullptr, &net, &faults, &retry)
+    : stack_(BackendKind::net, {}, net, faults, retry, eq_)
 {
+    buildController(controller);
 }
 
-SyncOram::SyncOram(core::ControllerParams controller,
-                   const dram::DramParams *dram,
-                   const mem::NetBackendParams *net,
-                   const mem::FaultParams *faults,
-                   const mem::RetryParams *retry)
+void
+SyncOram::buildController(const core::ControllerParams &controller)
 {
     fp_assert(controller.oram.payloadBytes > 0,
               "SyncOram needs a non-zero payload size");
-    eq_ = std::make_unique<EventQueue>();
-    if (dram) {
-        dram_ = std::make_unique<dram::DramSystem>(*dram, *eq_);
-        backend_ = std::make_unique<dram::DramBackend>(*dram_);
-    } else {
-        backend_ = std::make_unique<mem::NetBackend>(*net, *eq_);
-    }
-
-    mem::MemoryBackend *top = backend_.get();
-    if (faults && faults->enabled()) {
-        injector_ =
-            std::make_unique<mem::FaultInjector>(*faults, *eq_, *top);
-        top = injector_.get();
-    }
-    if (injector_ || (retry && retry->enabled())) {
-        mem::RetryParams rp = retry ? *retry : mem::RetryParams{};
-        if (!rp.enabled()) {
-            // Same default the System uses: well past the net
-            // model's round trip so slow successes are not
-            // double-issued.
-            rp.timeoutUs = net ? std::max(10.0 * 2.0 *
-                                              net->oneWayLatencyUs,
-                                          1000.0)
-                               : 100.0;
-        }
-        resilient_ =
-            std::make_unique<mem::ResilientBackend>(rp, *eq_, *top);
-        top = resilient_.get();
-    }
-
-    ctrl_ = std::make_unique<core::OramController>(controller, *eq_,
-                                                   *top);
+    ctrl_ = std::make_unique<core::OramController>(controller, eq_,
+                                                   stack_.top());
 }
 
 SyncOram::~SyncOram() = default;
@@ -91,7 +59,7 @@ SyncOram::read(BlockAddr addr)
     fp_assert(id != 0, "SyncOram: request rejected");
     // runWhile (not run): in periodic mode the controller's access
     // stream never ends, so only advance until the answer arrives.
-    eq_->runWhile([&done] { return !done; });
+    eq_.runWhile([&done] { return !done; });
     fp_assert(done, "SyncOram: read did not complete");
     return out;
 }
@@ -107,7 +75,7 @@ SyncOram::write(BlockAddr addr, std::vector<std::uint8_t> data)
         ctrl_->request(oram::Op::write, addr, std::move(data),
                        [&](Tick, const auto &) { done = true; });
     fp_assert(id != 0, "SyncOram: request rejected");
-    eq_->runWhile([&done] { return !done; });
+    eq_.runWhile([&done] { return !done; });
     fp_assert(done, "SyncOram: write did not complete");
 }
 
@@ -174,7 +142,7 @@ SyncOram::printStats() const
     const auto &c = *ctrl_;
     std::printf("---- SyncOram statistics ----\n");
     std::printf("simulated time:        %.3f us\n",
-                fp::ticksToNs(eq_->now()) / 1e3);
+                fp::ticksToNs(eq_.now()) / 1e3);
     std::printf("real ORAM accesses:    %llu\n",
                 static_cast<unsigned long long>(c.realAccesses()));
     std::printf("dummy ORAM accesses:   %llu\n",
@@ -190,15 +158,15 @@ SyncOram::printStats() const
                 c.avgDramBucketsRead());
     std::printf("avg request latency:   %.1f ns\n",
                 c.oramLatency().mean());
-    if (dram_) {
+    if (auto *dram = stack_.dram()) {
         std::printf(
             "dram row hits/misses:  %llu / %llu\n",
-            static_cast<unsigned long long>(dram_->rowHits()),
-            static_cast<unsigned long long>(dram_->rowMisses()));
+            static_cast<unsigned long long>(dram->rowHits()),
+            static_cast<unsigned long long>(dram->rowMisses()));
     } else {
-        const mem::BackendStats bs = backend_->statsSnapshot();
+        const mem::BackendStats bs = stack_.base().statsSnapshot();
         std::printf("%s bursts (r/w):     %llu / %llu\n",
-                    backend_->kind(),
+                    stack_.base().kind(),
                     static_cast<unsigned long long>(bs.readBursts),
                     static_cast<unsigned long long>(bs.writeBursts));
     }

@@ -20,11 +20,7 @@
 #include <vector>
 
 #include "core/oram_controller.hh"
-#include "dram/dram_system.hh"
-#include "mem/backend.hh"
-#include "mem/fault_injector.hh"
-#include "mem/net_backend.hh"
-#include "mem/resilient_backend.hh"
+#include "sim/memory_stack.hh"
 #include "util/event_queue.hh"
 
 namespace fp::sim
@@ -86,39 +82,29 @@ class SyncOram
     std::size_t blockSize() const;
 
     /** Simulated time elapsed so far. */
-    Tick now() const { return eq_->now(); }
+    Tick now() const { return eq_.now(); }
 
     core::OramController &controller() { return *ctrl_; }
     /** The base store (below any fault/retry decorators). */
-    mem::MemoryBackend &backend() { return *backend_; }
+    mem::MemoryBackend &backend() { return stack_.base(); }
     /** Null unless the fault-injecting constructor was used. */
-    mem::FaultInjector *faultInjector() { return injector_.get(); }
+    mem::FaultInjector *faultInjector() { return stack_.injector(); }
     mem::ResilientBackend *resilientBackend()
     {
-        return resilient_.get();
+        return stack_.resilient();
     }
     /** The DRAM timing model; null for non-DRAM backends. */
-    dram::DramSystem *dram() { return dram_.get(); }
+    dram::DramSystem *dram() { return stack_.dram(); }
 
     /** Print a human-readable stats summary to stdout. */
     void printStats() const;
 
   private:
-    /** Delegation target; exactly one of @p dram / @p net is set,
-     *  @p faults / @p retry are optional decorator configs. */
-    SyncOram(core::ControllerParams controller,
-             const dram::DramParams *dram,
-             const mem::NetBackendParams *net,
-             const mem::FaultParams *faults = nullptr,
-             const mem::RetryParams *retry = nullptr);
+    /** Build the controller over the finished store. */
+    void buildController(const core::ControllerParams &controller);
 
-    std::unique_ptr<EventQueue> eq_;
-    /** Set only for DRAM-backed stores (feeds the row-hit line). */
-    std::unique_ptr<dram::DramSystem> dram_;
-    std::unique_ptr<mem::MemoryBackend> backend_;
-    /** Optional resilience stack (fault-injecting constructor). */
-    std::unique_ptr<mem::FaultInjector> injector_;
-    std::unique_ptr<mem::ResilientBackend> resilient_;
+    EventQueue eq_;
+    MemoryStack stack_;
     std::unique_ptr<core::OramController> ctrl_;
 };
 

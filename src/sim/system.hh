@@ -13,11 +13,10 @@
 
 #include "core/oram_controller.hh"
 #include "core/sharded_oram.hh"
-#include "dram/dram_system.hh"
-#include "mem/backend.hh"
 #include "obs/interval_stats.hh"
 #include "obs/request_profiler.hh"
 #include "obs/tracer.hh"
+#include "sim/memory_stack.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_config.hh"
 #include "util/event_queue.hh"
@@ -48,66 +47,39 @@ class System
      */
     RunResult run(Tick limit = maxTick);
 
-    /** Dump every component's registered statistics. */
-    void printStats(std::ostream &os);
+    /** One memory store: its decorator stack plus the observability
+     *  its layers and its controller report to. An unsharded run has
+     *  one store; a sharded run has one per shard. */
+    struct Store
+    {
+        /** Shard s's view of the root tracer (same file, tracks at
+         *  tid offset 32 * s, "s<N>." names); null unless sharded. */
+        std::unique_ptr<obs::Tracer> tracerView;
+        /** The root tracer when unsharded, else tracerView; null
+         *  unless cfg.obs.traceOut was set. */
+        obs::Tracer *tracer = nullptr;
+        /** Null unless per-request profiling is on (and not
+         *  insecure: the profiler follows ORAM pipeline milestones).
+         *  A sharded run rolls these up into the RunResult. */
+        std::unique_ptr<obs::RequestProfiler> profiler;
+        MemoryStack stack;
+    };
 
     EventQueue &eventQueue() { return eq_; }
-    /** The base store (DRAM or net model), below any decorators. */
-    mem::MemoryBackend &backend() { return *backend_; }
-    /** The backend the controller actually talks to: the resilience
-     *  stack's top when faults/retries are configured, else the base
-     *  store. */
-    mem::MemoryBackend &topBackend() { return *topBackend_; }
-    /** Null unless cfg.faults.enabled(). */
-    mem::FaultInjector *faultInjector() { return injector_.get(); }
-    /** Null unless a retry layer was built (explicitly via
-     *  cfg.retry.timeoutUs > 0, or implicitly with the faults). */
-    mem::ResilientBackend *resilientBackend()
+    /** Store @p s, for s < numStores() (== max(cfg.shards, 1)). */
+    Store &store(unsigned s) { return stores_[s]; }
+    unsigned numStores() const
     {
-        return resilient_.get();
+        return static_cast<unsigned>(stores_.size());
     }
-    /** The DRAM timing model; null when cfg.backendKind != dram
-     *  (or when sharded — see shardDram). */
-    dram::DramSystem *dram() { return dram_.get(); }
     /** Null in insecure mode (or when sharded — see sharded()). */
     core::OramController *controller() { return ctrl_.get(); }
     /** The shard dispatcher; null unless cfg.shards > 1. */
     core::ShardedOram *sharded() { return sharded_.get(); }
-    /** Shard s's DRAM model; null off the DRAM backend or unsharded. */
-    dram::DramSystem *shardDram(unsigned s)
-    {
-        return shardParts_[s].dram.get();
-    }
-    /** Shard s's base store (below any decorators); sharded only. */
-    mem::MemoryBackend *shardBackend(unsigned s)
-    {
-        return shardParts_[s].backend.get();
-    }
-    /** Shard s's lifecycle profiler; null unless profiling a sharded
-     *  run (the aggregate rollup lands in the RunResult). */
-    obs::RequestProfiler *shardProfiler(unsigned s)
-    {
-        return shardParts_[s].profiler.get();
-    }
-    /** Shard s's fault injector; null unless cfg.faults.enabled()
-     *  on a sharded run. */
-    mem::FaultInjector *shardInjector(unsigned s)
-    {
-        return shardParts_[s].injector.get();
-    }
-    /** Shard s's retry layer; null unless the resilience stack was
-     *  built (see resilientBackend()) on a sharded run. */
-    mem::ResilientBackend *shardResilient(unsigned s)
-    {
-        return shardParts_[s].resilient.get();
-    }
     /** Null unless cfg.obs.traceOut was set. */
     obs::Tracer *tracer() { return tracer_.get(); }
     /** Null unless cfg.obs.statsOut was set. */
     obs::IntervalStats *intervalStats() { return intervalStats_.get(); }
-    /** Null unless per-request profiling is on (and not insecure:
-     *  the profiler follows ORAM pipeline milestones). */
-    obs::RequestProfiler *profiler() { return profiler_.get(); }
     /** This system's statistics registry (instance-scoped so several
      *  Systems can coexist, e.g. on sweep worker threads). */
     const StatRegistry &statRegistry() const { return registry_; }
@@ -118,30 +90,8 @@ class System
     }
 
   private:
-    class OramSink;
+    template <typename FrontEnd> class OramSink;
     class InsecureSink;
-    class ShardedSink;
-
-    /** One shard's private observability + memory stack (the
-     *  controller itself lives inside sharded_). */
-    struct ShardParts
-    {
-        /** View of the root tracer: same file, tracks at tid offset
-         *  32 * shard with an "s<N>." name prefix. */
-        std::unique_ptr<obs::Tracer> tracerView;
-        std::unique_ptr<obs::RequestProfiler> profiler;
-        std::unique_ptr<dram::DramSystem> dram;
-        std::unique_ptr<mem::MemoryBackend> backend;
-        std::unique_ptr<mem::FaultInjector> injector;
-        std::unique_ptr<mem::ResilientBackend> resilient;
-        /** Top of this shard's decorator stack. */
-        mem::MemoryBackend *top = nullptr;
-    };
-
-    /** Single-controller memory path + sink (cfg.shards <= 1). */
-    void buildSingle();
-    /** Sharded memory path + dispatcher + sink (cfg.shards > 1). */
-    void buildSharded();
 
     bool allDone() const;
     bool resilienceConfigured() const;
@@ -155,23 +105,16 @@ class System
     EventQueue eq_;
     std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::IntervalStats> intervalStats_;
-    std::unique_ptr<obs::RequestProfiler> profiler_;
-    /** Set only for the DRAM backend (feeds energy/row stats). */
-    std::unique_ptr<dram::DramSystem> dram_;
-    std::unique_ptr<mem::MemoryBackend> backend_;
-    /** Optional resilience stack over backend_: the injector wraps
-     *  the store, the resilient layer wraps the injector. Declared
-     *  after backend_ so destruction unwinds outside-in. */
-    std::unique_ptr<mem::FaultInjector> injector_;
-    std::unique_ptr<mem::ResilientBackend> resilient_;
-    /** Whichever layer the controller/sink issues against. */
-    mem::MemoryBackend *topBackend_ = nullptr;
+    /** Declared before the controllers that issue against them, so
+     *  the controllers are destroyed first. */
+    std::vector<Store> stores_;
+    /** Exactly one of ctrl_ (one store) and sharded_ (several) is
+     *  set, unless insecure (neither). */
     std::unique_ptr<core::OramController> ctrl_;
-    /** Sharded mode (cfg.shards > 1): per-shard stacks, then the
-     *  dispatcher whose controllers reference them — declared after
-     *  shardParts_ so the controllers are destroyed first. */
-    std::vector<ShardParts> shardParts_;
     std::unique_ptr<core::ShardedOram> sharded_;
+    /** One controller per store (empty when insecure), for the
+     *  aggregation in run(). */
+    std::vector<core::OramController *> ctrls_;
     std::unique_ptr<workload::MemorySink> sink_;
     std::vector<std::unique_ptr<workload::CoreModel>> cores_;
 };

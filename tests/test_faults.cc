@@ -19,10 +19,13 @@
 #include "mem/resilient_backend.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config.hh"
+#include "sim/memory_stack.hh"
 #include "sim/sync_oram.hh"
+#include "sim/system.hh"
 #include "util/event_queue.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "workload/mixes.hh"
 
 namespace fp
 {
@@ -745,6 +748,98 @@ TEST(ResilienceSystem, FaultFreeJsonCarriesNoFaultFields)
     EXPECT_NE(fjson.find("\"retry_attempts\""), std::string::npos);
     EXPECT_NE(fjson.find("\"fault_stream_fingerprint\""),
               std::string::npos);
+}
+
+// --- the derived retry deadline -------------------------------------------
+
+/** The deadline of every retry layer a System built, one per store. */
+std::vector<double>
+systemDeadlines(const sim::SimConfig &cfg)
+{
+    sim::System sys(cfg, workload::mixProfiles("Mix3"));
+    std::vector<double> out;
+    for (unsigned s = 0; s < sys.numStores(); ++s) {
+        const mem::ResilientBackend *res = sys.store(s).stack.resilient();
+        EXPECT_NE(res, nullptr) << "store " << s;
+        if (res)
+            out.push_back(res->params().timeoutUs);
+    }
+    return out;
+}
+
+TEST(RetryDeadline, DerivedAlikeBySystemAndSyncOram)
+{
+    // Faults on and timeoutUs == 0: every builder picks the same
+    // deadline, 100 us on DRAM and max(20 x one-way, 1000) us on the
+    // net store. One-way 80 us exercises the first arm of the max,
+    // 2 us the floor.
+    mem::FaultParams faults;
+    faults.lossRate = 0.01;
+    struct Case
+    {
+        sim::BackendKind kind;
+        double oneWayUs;
+        double want;
+    };
+    for (const Case &c : {Case{sim::BackendKind::dram, 50.0, 100.0},
+                          Case{sim::BackendKind::net, 80.0, 1600.0},
+                          Case{sim::BackendKind::net, 2.0, 1000.0}}) {
+        SCOPED_TRACE(sim::backendKindName(c.kind) + std::string(" ") +
+                     std::to_string(c.oneWayUs));
+        sim::SimConfig cfg = quickConfig();
+        cfg.backendKind = c.kind;
+        cfg.net.oneWayLatencyUs = c.oneWayUs;
+        cfg.faults = faults;
+        ASSERT_FALSE(cfg.retry.enabled());
+
+        for (unsigned shards : {1u, 2u}) {
+            cfg.shards = shards;
+            EXPECT_EQ(systemDeadlines(cfg),
+                      std::vector<double>(shards, c.want))
+                << shards << " shards";
+        }
+
+        if (c.kind == sim::BackendKind::net) {
+            sim::SyncOram oram(smallController(), cfg.net, faults,
+                               mem::RetryParams{});
+            ASSERT_NE(oram.resilientBackend(), nullptr);
+            EXPECT_EQ(oram.resilientBackend()->params().timeoutUs,
+                      c.want);
+        } else {
+            // SyncOram offers faults on the net store only; its
+            // builder is the same MemoryStack either way.
+            EventQueue eq;
+            sim::MemoryStack stack(c.kind, cfg.dram, cfg.net, faults,
+                                   mem::RetryParams{}, eq);
+            ASSERT_NE(stack.resilient(), nullptr);
+            EXPECT_EQ(stack.resilient()->params().timeoutUs, c.want);
+        }
+    }
+}
+
+TEST(RetryDeadline, ExplicitTimeoutWins)
+{
+    mem::FaultParams faults;
+    faults.lossRate = 0.01;
+    mem::RetryParams retry;
+    retry.timeoutUs = 333.0;
+    for (sim::BackendKind kind :
+         {sim::BackendKind::dram, sim::BackendKind::net}) {
+        SCOPED_TRACE(sim::backendKindName(kind));
+        sim::SimConfig cfg = quickConfig();
+        cfg.backendKind = kind;
+        cfg.faults = faults;
+        cfg.retry = retry;
+        for (unsigned shards : {1u, 2u}) {
+            cfg.shards = shards;
+            EXPECT_EQ(systemDeadlines(cfg),
+                      std::vector<double>(shards, 333.0))
+                << shards << " shards";
+        }
+    }
+    sim::SyncOram oram(smallController(), fastNet(), faults, retry);
+    ASSERT_NE(oram.resilientBackend(), nullptr);
+    EXPECT_EQ(oram.resilientBackend()->params().timeoutUs, 333.0);
 }
 
 } // anonymous namespace

@@ -322,11 +322,11 @@ TEST(Profiler, StagePartitionSumsToEndToEnd)
 {
     sim::SimConfig cfg = profiledConfig();
     sim::System sys(cfg, profiles(cfg.cores));
-    ASSERT_NE(sys.profiler(), nullptr);
-    sys.profiler()->setKeepRecords(true);
+    ASSERT_NE(sys.store(0).profiler, nullptr);
+    sys.store(0).profiler->setKeepRecords(true);
     sys.run();
 
-    const auto *prof = sys.profiler();
+    const auto *prof = sys.store(0).profiler.get();
     const auto &recs = prof->records();
     ASSERT_FALSE(recs.empty());
     EXPECT_EQ(prof->openRequests(), 0u);
@@ -460,7 +460,7 @@ TEST(Profiler, EffectivenessMatchesIndependentCounts)
     sys.controller()->setRevealTraceEnabled(true);
     sys.run();
 
-    const auto &eff = sys.profiler()->effectiveness();
+    const auto &eff = sys.store(0).profiler->effectiveness();
     const auto &reveal = sys.controller()->revealTrace();
     ASSERT_FALSE(reveal.empty());
 
@@ -519,7 +519,8 @@ TEST(Profiler, TraceAsyncSpansPairUp)
     cfg.obs.traceLevel = obs::TraceLevel::full;
     sim::System sys(cfg, profiles(cfg.cores));
     sys.run();
-    const std::uint64_t completed = sys.profiler()->completed();
+    const std::uint64_t completed =
+        sys.store(0).profiler->completed();
     ASSERT_GT(completed, 0u);
 
     JsonValue v = JsonValue::parse(readFile(f.path));

@@ -315,7 +315,7 @@ TEST(ShardedSystem, AggregationEqualsPerShardSums)
         for (std::size_t l = 0; l < per_level.size(); ++l)
             skips[l] += per_level[l];
 
-        obs::RequestProfiler *prof = sys.shardProfiler(s);
+        obs::RequestProfiler *prof = sys.store(s).profiler.get();
         ASSERT_NE(prof, nullptr);
         completed += prof->completed();
         eff_total += prof->effectiveness().totalAccesses;
@@ -375,17 +375,13 @@ TEST(ShardedResilience, PerShardRetryStatsSumToAggregate)
     ASSERT_TRUE(r.faultsEnabled);
     ASSERT_TRUE(r.retryEnabled);
 
-    // The resilience stack lives per shard, not at the system root.
-    EXPECT_EQ(sys.faultInjector(), nullptr);
-    EXPECT_EQ(sys.resilientBackend(), nullptr);
-
     std::uint64_t retries = 0, timeouts = 0, losses = 0;
     for (unsigned s = 0; s < 4; ++s) {
-        mem::ResilientBackend *res = sys.shardResilient(s);
+        mem::ResilientBackend *res = sys.store(s).stack.resilient();
         ASSERT_NE(res, nullptr) << "shard " << s;
         retries += res->retries();
         timeouts += res->timeouts();
-        mem::FaultInjector *inj = sys.shardInjector(s);
+        mem::FaultInjector *inj = sys.store(s).stack.injector();
         ASSERT_NE(inj, nullptr) << "shard " << s;
         losses += inj->lossInjected();
     }
@@ -396,6 +392,60 @@ TEST(ShardedResilience, PerShardRetryStatsSumToAggregate)
     EXPECT_EQ(r.faultLossInjected, losses);
     EXPECT_GT(losses, 0u);
     EXPECT_GT(retries, 0u);
+}
+
+TEST(ShardedSystem, StoreLayersFollowConfig)
+{
+    // One store per shard (one when unsharded), each built with the
+    // same layers: a DRAM model only on the DRAM backend, and the
+    // injector plus retry layer only with faults on.
+    for (sim::BackendKind kind :
+         {sim::BackendKind::dram, sim::BackendKind::net}) {
+        for (bool faults : {false, true}) {
+            for (unsigned shards : {1u, 4u}) {
+                SCOPED_TRACE(std::string(sim::backendKindName(kind)) +
+                             (faults ? " faults " : " clean ") +
+                             std::to_string(shards));
+                sim::SimConfig cfg = shardedConfig(shards);
+                cfg.backendKind = kind;
+                if (faults) {
+                    cfg.faults.lossRate = 0.01;
+                    cfg.faults.seed = 4242;
+                }
+                sim::System sys(cfg, workload::mixProfiles("Mix3"));
+                ASSERT_EQ(sys.numStores(), shards);
+                EXPECT_EQ(sys.controller() != nullptr, shards == 1);
+                EXPECT_EQ(sys.sharded() != nullptr, shards > 1);
+
+                std::set<std::uint64_t> seeds;
+                for (unsigned s = 0; s < shards; ++s) {
+                    const sim::MemoryStack &st = sys.store(s).stack;
+                    EXPECT_EQ(st.dram() != nullptr,
+                              kind == sim::BackendKind::dram);
+                    EXPECT_STREQ(st.base().kind(),
+                                 sim::backendKindName(kind));
+                    ASSERT_EQ(st.injector() != nullptr, faults);
+                    ASSERT_EQ(st.resilient() != nullptr, faults);
+                    mem::MemoryBackend *top = &st.base();
+                    if (faults)
+                        top = st.resilient();
+                    EXPECT_EQ(&st.top(), top);
+                    if (faults)
+                        seeds.insert(st.injector()->params().seed);
+                }
+                if (!faults)
+                    continue;
+                if (shards == 1) {
+                    // Unsharded runs inject with the raw seed.
+                    EXPECT_EQ(*seeds.begin(), cfg.faults.seed);
+                } else {
+                    // Sharded runs derive one seed per shard.
+                    EXPECT_EQ(seeds.size(), shards);
+                    EXPECT_EQ(seeds.count(cfg.faults.seed), 0u);
+                }
+            }
+        }
+    }
 }
 
 TEST(ShardedSystem, SweepByteIdenticalAcrossJobs)
