@@ -37,8 +37,7 @@ void
 registerAblationScenario()
 {
     sim::registerScenario("ablation", [](sim::ScenarioContext &ctx) {
-        const std::string mix = ctx.args.getString(
-            "mix", ctx.spec.paramStr("mix", "Mix3"));
+        const std::string mix = ctx.spec.paramStr("mix", "Mix3");
         const auto queue = static_cast<unsigned>(
             ctx.spec.paramUint("queue", 64));
         const auto mac_bytes =

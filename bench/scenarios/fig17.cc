@@ -48,11 +48,8 @@ void
 registerFig17Scenario()
 {
     sim::registerScenario("fig17", [](sim::ScenarioContext &ctx) {
-        const unsigned mixes_per_point =
-            static_cast<unsigned>(ctx.args.getInt(
-                "samples",
-                static_cast<long long>(
-                    ctx.spec.paramUint("samples", 3))));
+        const auto mixes_per_point =
+            static_cast<unsigned>(ctx.spec.paramUint("samples", 3));
 
         ctx.banner(
             "Figure 17: thread count and ORAM size sensitivity",

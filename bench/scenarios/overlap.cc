@@ -23,10 +23,8 @@ void
 registerOverlapScenario()
 {
     sim::registerScenario("overlap", [](sim::ScenarioContext &ctx) {
-        const auto trials = static_cast<unsigned>(ctx.args.getInt(
-            "trials",
-            static_cast<long long>(
-                ctx.spec.paramUint("trials", 40000))));
+        const auto trials =
+            static_cast<unsigned>(ctx.spec.paramUint("trials", 40000));
 
         ctx.banner("Overlap analysis (supports Figure 10)",
                    "expected fetched path ~= L+1 - E[best-of-Q "

@@ -30,14 +30,10 @@ void
 registerReplacingScenario()
 {
     sim::registerScenario("replacing", [](sim::ScenarioContext &ctx) {
-        const auto trials = static_cast<unsigned>(ctx.args.getInt(
-            "trials",
-            static_cast<long long>(
-                ctx.spec.paramUint("trials", 200))));
-        const auto leaf = static_cast<unsigned>(ctx.args.getInt(
-            "leaf-level",
-            static_cast<long long>(
-                ctx.spec.paramUint("leaf-level", 16))));
+        const auto trials =
+            static_cast<unsigned>(ctx.spec.paramUint("trials", 200));
+        const auto leaf =
+            static_cast<unsigned>(ctx.spec.paramUint("leaf-level", 16));
 
         ctx.banner("Dummy label replacing window (Section 3.3)",
                    "a real request arriving before the refill passes "

@@ -1,16 +1,14 @@
 /**
  * @file
  * The scenario renderers behind the experiment-spec runtime: one
- * registered scenario per migrated bench binary. The spec files under
- * experiments/ own every grid, preset list and default the legacy
- * binaries used to hard-code; the renderers own only the
- * figure-specific derivation and table layout (normalisation against
- * a baseline row, geomeans, analytic companion columns).
+ * registered scenario per paper artifact. The spec files under
+ * experiments/ own every grid, preset list and default; the
+ * renderers own only the figure-specific derivation and table layout
+ * (normalisation against a baseline row, geomeans, analytic
+ * companion columns).
  *
- * A scenario's stdout is byte-identical to the legacy binary it
- * replaced, at any --jobs (the SweepRunner determinism contract plus
- * ordered emission). The wrappers (bench_fig10 etc.) call
- * specMain("fig10", ...) and are otherwise empty.
+ * A scenario's stdout is byte-identical at any --jobs (the
+ * SweepRunner determinism contract plus ordered emission).
  */
 
 #ifndef FP_BENCH_SCENARIOS_SCENARIOS_HH
@@ -35,18 +33,11 @@ void registerBuiltinScenarios();
 std::string resolveSpecPath(const std::string &name);
 
 /**
- * Entry point shared by the legacy wrapper binaries: handle the
- * --list-policies / --list-backends / --list-scenarios flags, then
- * load experiments/<spec_name>.json and run it. Wrappers pass their
- * historical spec name; flags and output match the pre-spec binary.
- */
-int specMain(const std::string &spec_name, int argc, char **argv);
-
-/**
- * The `fp_bench` driver: like specMain but the spec comes from the
- * command line — a path to a .json file or a bare spec name resolved
- * via resolveSpecPath. `fp_bench --list-experiments` enumerates the
- * committed specs with their descriptions.
+ * The `fp_bench` driver: handle the --list-* discovery flags, else
+ * load the spec the command line names — a path to a .json file or a
+ * bare spec name resolved via resolveSpecPath — and run it.
+ * `fp_bench --list-experiments` enumerates the committed specs with
+ * their descriptions.
  */
 int benchMain(int argc, char **argv);
 

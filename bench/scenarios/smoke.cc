@@ -46,10 +46,8 @@ void
 registerSmokeScenario()
 {
     sim::registerScenario("smoke", [](sim::ScenarioContext &ctx) {
-        const std::string out_path = ctx.args.getString(
-            "out", ctx.spec.defaultOut.empty()
-                       ? "BENCH_smoke.json"
-                       : ctx.spec.defaultOut);
+        const std::string out_path =
+            ctx.out.empty() ? "BENCH_smoke.json" : ctx.out;
 
         ctx.banner("CI smoke sweep (bench-baseline gate)",
                    "n/a — regression gate, not a paper figure");

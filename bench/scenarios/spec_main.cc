@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared entry points for the experiment-spec runtime: the fp_bench
- * driver (spec file or name on the command line) and the thin legacy
- * wrappers (historical binary name pinned to its spec). Both share
- * the --list-policies / --list-backends / --list-scenarios discovery
- * flags; fp_bench adds --list-experiments over the committed specs.
+ * The fp_bench driver: a spec file or name on the command line, plus
+ * the --list-experiments / --list-scenarios / --list-policies /
+ * --list-backends discovery flags.
  */
 
 #include <algorithm>
@@ -36,9 +34,10 @@ experimentsDir()
 }
 
 /**
- * Handle the discovery flags shared by fp_bench and the wrappers.
- * Returns true when a flag was handled (the caller exits 0): the
- * flags print one name per line so shell pipelines can consume them.
+ * Handle the --list-policies / --list-backends / --list-scenarios
+ * discovery flags. Returns true when a flag was handled (the caller
+ * exits 0): the flags print one name per line so shell pipelines can
+ * consume them.
  */
 bool
 handleListFlags(const CliArgs &args)
@@ -74,17 +73,6 @@ resolveSpecPath(const std::string &name)
                  "directory)",
                  name.c_str(), path.c_str());
     return path;
-}
-
-int
-specMain(const std::string &spec_name, int argc, char **argv)
-{
-    registerBuiltinScenarios();
-    CliArgs args(argc, argv);
-    if (handleListFlags(args))
-        return 0;
-    auto spec = sim::parseSpecFile(resolveSpecPath(spec_name));
-    return sim::runSpec(spec, args);
 }
 
 int

@@ -124,6 +124,8 @@ struct ControllerParams
 
     /** The paper's default Fork Path configuration (queue 64). */
     static ControllerParams forkPath();
+
+    bool operator==(const ControllerParams &) const = default;
 };
 
 } // namespace fp::core

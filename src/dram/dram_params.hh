@@ -55,6 +55,8 @@ struct DramTiming
      * must reach the array before the bank can be read.
      */
     Tick readToWriteGap() const { return cycles(tRTRS); }
+
+    bool operator==(const DramTiming &) const = default;
 };
 
 /** Row-buffer management policy. */
@@ -88,6 +90,8 @@ struct DramOrganization
 
     /** Peak bandwidth in bytes/second across all channels. */
     double peakBandwidth(const DramTiming &t) const;
+
+    bool operator==(const DramOrganization &) const = default;
 };
 
 struct DramEnergyParams
@@ -97,6 +101,8 @@ struct DramEnergyParams
     double writeBurstNj = 5.2;    //!< One 64 B write burst.
     double refreshNj = 28.0;      //!< One all-bank refresh.
     double backgroundMwPerRank = 120.0; //!< Standby + periph power.
+
+    bool operator==(const DramEnergyParams &) const = default;
 };
 
 struct DramParams
@@ -113,6 +119,8 @@ struct DramParams
 
     /** The paper's configuration: DDR3-1600, 2 channels. */
     static DramParams ddr3_1600(unsigned channels = 2);
+
+    bool operator==(const DramParams &) const = default;
 };
 
 } // namespace fp::dram

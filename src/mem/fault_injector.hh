@@ -92,6 +92,8 @@ struct FaultParams
 
     /** Microseconds to ticks (1 us = 1e6 ps), round to nearest. */
     static Tick usToTicksRound(double us);
+
+    bool operator==(const FaultParams &) const = default;
 };
 
 class FaultInjector final : public MemoryBackend

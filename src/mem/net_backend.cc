@@ -23,27 +23,6 @@ NetBackendParams::serializationTicks(std::uint64_t bytes) const
         static_cast<double>(bytes) * 8.0 * 1e3 / linkGbps));
 }
 
-void
-NetBackendParams::validate() const
-{
-    if (!(linkGbps > 0.0) || !std::isfinite(linkGbps))
-        fp_fatal("--net-gbps must be a positive number (got %g): a "
-                 "zero or negative link bandwidth makes serialization "
-                 "time undefined",
-                 linkGbps);
-    if (oneWayLatencyUs < 0.0 || !std::isfinite(oneWayLatencyUs))
-        fp_fatal("--net-latency-us must be non-negative (got %g)",
-                 oneWayLatencyUs);
-    if (window == 0)
-        fp_fatal("--net-window must be at least 1: a zero window can "
-                 "never admit a request");
-    if (burstBytes == 0 || rowBytes == 0)
-        fp_fatal("net backend burst/row granule must be non-zero "
-                 "(burst=%llu row=%llu)",
-                 static_cast<unsigned long long>(burstBytes),
-                 static_cast<unsigned long long>(rowBytes));
-}
-
 NetBackend::NetBackend(const NetBackendParams &params, EventQueue &eq)
     : params_(params), eq_(eq), stats_("net_backend")
 {

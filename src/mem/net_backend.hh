@@ -69,9 +69,7 @@ struct NetBackendParams
      *  round to nearest. */
     Tick serializationTicks(std::uint64_t bytes) const;
 
-    /** Abort with a CLI-facing error (fp_fatal) if the parameters
-     *  cannot produce a meaningful timing model. */
-    void validate() const;
+    bool operator==(const NetBackendParams &) const = default;
 };
 
 class NetBackend final : public MemoryBackend

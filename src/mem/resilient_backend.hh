@@ -69,6 +69,8 @@ struct RetryParams
 
     /** Microseconds to ticks (1 us = 1e6 ps), round to nearest. */
     static Tick usToTicksRound(double us);
+
+    bool operator==(const RetryParams &) const = default;
 };
 
 class ResilientBackend final : public MemoryBackend

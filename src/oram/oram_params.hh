@@ -63,6 +63,8 @@ struct OramParams
                 .leafLevel();
         return p;
     }
+
+    bool operator==(const OramParams &) const = default;
 };
 
 } // namespace fp::oram

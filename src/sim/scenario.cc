@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 
-#include "core/access_policy.hh"
+#include "util/cli.hh"
 #include "util/logging.hh"
 #include "workload/mixes.hh"
 
@@ -22,14 +23,6 @@ specHash(const std::string &text)
         h *= 1099511628211ULL;
     }
     return h;
-}
-
-void
-specFail(const SpecSource &src, const JsonValue &node,
-         const std::string &msg)
-{
-    fp_fatal("experiment spec %s:%zu: %s", src.path.c_str(),
-             jsonLineOf(src.text, node.sourceOffset()), msg.c_str());
 }
 
 // --- typed params accessors -----------------------------------------------
@@ -49,6 +42,10 @@ findParam(const ExperimentSpec &spec, const std::string &key)
 paramFail(const ExperimentSpec &spec, const std::string &key,
           const std::string &what)
 {
+    auto flag = spec.paramFlags.find(key);
+    if (flag != spec.paramFlags.end())
+        fp_fatal("--%s=%s: %s", key.c_str(), flag->second.c_str(),
+                 what.c_str());
     const JsonValue *node = findParam(spec, key);
     specFail(spec.source, node ? *node : spec.params,
              "params." + key + ": " + what);
@@ -58,8 +55,7 @@ std::uint64_t
 uintOf(const ExperimentSpec &spec, const std::string &key,
        const JsonValue &v)
 {
-    if (!v.isNumber() || v.asNumber() < 0.0 ||
-        v.asNumber() != static_cast<double>(v.asUint64()))
+    if (!v.isUint64())
         paramFail(spec, key, "expected a non-negative integer");
     return v.asUint64();
 }
@@ -166,440 +162,6 @@ ExperimentSpec::paramNode(const std::string &key) const
     return *v;
 }
 
-// --- the override key table -----------------------------------------------
-
-namespace
-{
-
-struct OvCtx
-{
-    SimConfig &cfg;
-    const SpecOverride &ov;
-    const SpecSource &src;
-
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        specFail(src, ov.value, "\"" + ov.key + "\": " + what);
-    }
-
-    std::uint64_t
-    uintIn(std::uint64_t lo, std::uint64_t hi) const
-    {
-        const JsonValue &v = ov.value;
-        if (!v.isNumber() || v.asNumber() < 0.0 ||
-            v.asNumber() != static_cast<double>(v.asUint64()))
-            fail("expected an integer");
-        const std::uint64_t n = v.asUint64();
-        if (n < lo || n > hi)
-            fail(strprintf("value %llu out of range [%llu, %llu]",
-                           static_cast<unsigned long long>(n),
-                           static_cast<unsigned long long>(lo),
-                           static_cast<unsigned long long>(hi)));
-        return n;
-    }
-
-    double
-    numIn(double lo, double hi) const
-    {
-        if (!ov.value.isNumber())
-            fail("expected a number");
-        const double v = ov.value.asNumber();
-        if (v < lo || v > hi)
-            fail(strprintf("value %g out of range [%g, %g]", v, lo,
-                           hi));
-        return v;
-    }
-
-    bool
-    boolean() const
-    {
-        if (!ov.value.isBool())
-            fail("expected true or false");
-        return ov.value.asBool();
-    }
-
-    std::string
-    str() const
-    {
-        if (!ov.value.isString())
-            fail("expected a string");
-        return ov.value.asString();
-    }
-
-    /** [lo, hi] pair for window-style values ("fault-outage"). */
-    std::pair<double, double>
-    numPair() const
-    {
-        if (!ov.value.isArray() || ov.value.size() != 2 ||
-            !ov.value.at(std::size_t{0}).isNumber() ||
-            !ov.value.at(std::size_t{1}).isNumber())
-            fail("expected a two-number array [lo, hi]");
-        return {ov.value.at(std::size_t{0}).asNumber(),
-                ov.value.at(std::size_t{1}).asNumber()};
-    }
-};
-
-using OvHandler = void (*)(const OvCtx &);
-
-// Keep the key names aligned with the CLI flags (docs/ARCHITECTURE.md
-// documents the table; tests/test_scenario.cc round-trips it against
-// the sim::with* helpers).
-const std::map<std::string, OvHandler> &
-overrideTable()
-{
-    static const std::map<std::string, OvHandler> table = {
-        // --- run shape ---------------------------------------------------
-        {"requests",
-         [](const OvCtx &c) {
-             c.cfg.requestsPerCore = c.uintIn(1, 100'000'000);
-         }},
-        {"leaf-level",
-         [](const OvCtx &c) {
-             c.cfg.controller.oram.leafLevel =
-                 static_cast<unsigned>(c.uintIn(4, 40));
-         }},
-        {"cores",
-         [](const OvCtx &c) {
-             c.cfg.cores = static_cast<unsigned>(c.uintIn(1, 1024));
-         }},
-        {"max-outstanding",
-         [](const OvCtx &c) {
-             c.cfg.maxOutstanding =
-                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
-         }},
-        {"cpu-period-ticks",
-         [](const OvCtx &c) {
-             c.cfg.cpuPeriodTicks =
-                 static_cast<Tick>(c.uintIn(1, ~std::uint64_t{0}));
-         }},
-        {"seed",
-         [](const OvCtx &c) {
-             c.cfg.seed = c.uintIn(0, ~std::uint64_t{0});
-         }},
-        {"shared-address-space",
-         [](const OvCtx &c) {
-             c.cfg.sharedAddressSpace = c.boolean();
-         }},
-
-        // --- controller variant / scheduling -----------------------------
-        {"variant",
-         [](const OvCtx &c) {
-             // The sim::with* helpers rebuild the controller, so the
-             // variant key must precede queue/cache refinements; the
-             // overrides apply in spec order, making that natural.
-             const std::string v = c.str();
-             if (v == "traditional")
-                 c.cfg = withTraditional(std::move(c.cfg));
-             else if (v == "merge")
-                 c.cfg = withMergeOnly(std::move(c.cfg));
-             else if (v == "mac")
-                 c.cfg = withMergeMac(std::move(c.cfg),
-                                      std::uint64_t{1} << 20);
-             else if (v == "treetop")
-                 c.cfg = withMergeTreetop(std::move(c.cfg),
-                                          std::uint64_t{1} << 20);
-             else if (v == "insecure")
-                 c.cfg = withInsecure(std::move(c.cfg));
-             else
-                 c.fail("unknown variant '" + v +
-                        "' (traditional|merge|mac|treetop|insecure)");
-         }},
-        {"policy",
-         [](const OvCtx &c) {
-             // parsePolicyKind is fatal on unknown names but without
-             // the spec location; check here for a better message.
-             const std::string v = c.str();
-             const auto names = core::accessPolicyNames();
-             if (std::find(names.begin(), names.end(), v) ==
-                 names.end())
-                 c.fail("unknown policy '" + v + "'");
-             c.cfg = withPolicyName(std::move(c.cfg), v);
-         }},
-        {"queue",
-         [](const OvCtx &c) {
-             c.cfg.controller.labelQueueSize =
-                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
-         }},
-        {"cache",
-         [](const OvCtx &c) {
-             const std::string v = c.str();
-             if (v == "none")
-                 c.cfg.controller.cachePolicy =
-                     core::CachePolicy::none;
-             else if (v == "mac")
-                 c.cfg.controller.cachePolicy = core::CachePolicy::mac;
-             else if (v == "treetop")
-                 c.cfg.controller.cachePolicy =
-                     core::CachePolicy::treetop;
-             else
-                 c.fail("unknown cache '" + v +
-                        "' (none|mac|treetop)");
-         }},
-        {"cache-bytes",
-         [](const OvCtx &c) {
-             c.cfg.controller.cacheBudgetBytes =
-                 c.uintIn(1, std::uint64_t{1} << 40);
-         }},
-        {"dummy-policy",
-         [](const OvCtx &c) {
-             const std::string v = c.str();
-             if (v == "compete")
-                 c.cfg.controller.dummyPolicy =
-                     core::DummySelectPolicy::compete;
-             else if (v == "realFirst")
-                 c.cfg.controller.dummyPolicy =
-                     core::DummySelectPolicy::realFirst;
-             else
-                 c.fail("unknown dummy-policy '" + v +
-                        "' (compete|realFirst)");
-         }},
-        {"aging-threshold",
-         [](const OvCtx &c) {
-             c.cfg.controller.agingThreshold =
-                 static_cast<unsigned>(c.uintIn(1, ~std::uint32_t{0}));
-         }},
-        {"enable-replacing",
-         [](const OvCtx &c) {
-             c.cfg.controller.enableDummyReplacing = c.boolean();
-         }},
-        {"batch-size",
-         [](const OvCtx &c) {
-             c.cfg.controller.batchSize =
-                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
-         }},
-        {"insecure",
-         [](const OvCtx &c) { c.cfg.insecure = c.boolean(); }},
-
-        // --- structure ---------------------------------------------------
-        {"layout",
-         [](const OvCtx &c) {
-             const std::string v = c.str();
-             if (v == "subtree")
-                 c.cfg.controller.layout =
-                     dram::LayoutPolicy::subtree;
-             else if (v == "linear")
-                 c.cfg.controller.layout = dram::LayoutPolicy::linear;
-             else
-                 c.fail("unknown layout '" + v +
-                        "' (subtree|linear)");
-         }},
-        {"recursion-depth",
-         [](const OvCtx &c) {
-             c.cfg.controller.recursionDepth =
-                 static_cast<unsigned>(c.uintIn(0, 8));
-         }},
-        {"recursion-fanout",
-         [](const OvCtx &c) {
-             c.cfg.controller.recursionFanout =
-                 static_cast<unsigned>(c.uintIn(2, 1024));
-         }},
-        {"plb-entries",
-         [](const OvCtx &c) {
-             c.cfg.controller.plbEntries = static_cast<std::size_t>(
-                 c.uintIn(0, std::uint64_t{1} << 32));
-         }},
-        {"periodic-interval-ticks",
-         [](const OvCtx &c) {
-             c.cfg.controller.periodicIntervalTicks =
-                 static_cast<Tick>(c.uintIn(0, ~std::uint64_t{0}));
-         }},
-        {"integrity",
-         [](const OvCtx &c) {
-             c.cfg.controller.enableIntegrity = c.boolean();
-         }},
-        {"payload-bytes",
-         [](const OvCtx &c) {
-             c.cfg.controller.oram.payloadBytes =
-                 static_cast<std::size_t>(c.uintIn(0, 1 << 20));
-         }},
-        {"stash-capacity",
-         [](const OvCtx &c) {
-             c.cfg.controller.oram.stashCapacity =
-                 static_cast<std::size_t>(
-                     c.uintIn(1, std::uint64_t{1} << 32));
-         }},
-        {"oram-seed",
-         [](const OvCtx &c) {
-             c.cfg.controller.oram.seed =
-                 c.uintIn(0, ~std::uint64_t{0});
-         }},
-
-        // --- memory system -----------------------------------------------
-        {"channels",
-         [](const OvCtx &c) {
-             // Replaces the whole DRAM parameter block, so list it
-             // before page-policy when both appear.
-             c.cfg.dram = dram::DramParams::ddr3_1600(
-                 static_cast<unsigned>(c.uintIn(1, 8)));
-         }},
-        {"page-policy",
-         [](const OvCtx &c) {
-             const std::string v = c.str();
-             if (v == "open")
-                 c.cfg.dram.pagePolicy = dram::PagePolicy::open;
-             else if (v == "closed")
-                 c.cfg.dram.pagePolicy = dram::PagePolicy::closed;
-             else
-                 c.fail("unknown page-policy '" + v +
-                        "' (open|closed)");
-         }},
-        {"backend",
-         [](const OvCtx &c) {
-             const std::string v = c.str();
-             const auto names = backendKindNames();
-             if (std::find(names.begin(), names.end(), v) ==
-                 names.end())
-                 c.fail("unknown backend '" + v + "'");
-             c.cfg.backendKind = parseBackendKind(v);
-         }},
-        {"net-latency-us",
-         [](const OvCtx &c) {
-             c.cfg.net.oneWayLatencyUs = c.numIn(0.0, 1e9);
-         }},
-        {"net-gbps",
-         [](const OvCtx &c) {
-             c.cfg.net.linkGbps = c.numIn(1e-3, 1e6);
-         }},
-        {"net-window",
-         [](const OvCtx &c) {
-             c.cfg.net.window =
-                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
-         }},
-        {"shards",
-         [](const OvCtx &c) {
-             c.cfg.shards = static_cast<unsigned>(c.uintIn(1, 1024));
-         }},
-        {"shard-window",
-         [](const OvCtx &c) {
-             c.cfg.shardWindow =
-                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
-         }},
-
-        // --- faults / retry ----------------------------------------------
-        {"fault-loss-rate",
-         [](const OvCtx &c) {
-             c.cfg.faults.lossRate = c.numIn(0.0, 1.0);
-         }},
-        {"fault-error-rate",
-         [](const OvCtx &c) {
-             c.cfg.faults.errorRate = c.numIn(0.0, 1.0);
-         }},
-        {"fault-spike-rate",
-         [](const OvCtx &c) {
-             c.cfg.faults.spikeRate = c.numIn(0.0, 1.0);
-         }},
-        {"fault-spike-us",
-         [](const OvCtx &c) {
-             c.cfg.faults.spikeUs = c.numIn(0.0, 1e9);
-         }},
-        {"fault-outage",
-         [](const OvCtx &c) {
-             const auto [t0, t1] = c.numPair();
-             if (t0 < 0.0 || t1 <= t0)
-                 c.fail("outage window needs 0 <= T0 < T1");
-             c.cfg.faults.outageStartUs = t0;
-             c.cfg.faults.outageEndUs = t1;
-         }},
-        {"fault-seed",
-         [](const OvCtx &c) {
-             c.cfg.faults.seed = c.uintIn(0, ~std::uint64_t{0});
-         }},
-        {"retry-timeout-us",
-         [](const OvCtx &c) {
-             c.cfg.retry.timeoutUs = c.numIn(0.0, 1e9);
-         }},
-        {"retry-max",
-         [](const OvCtx &c) {
-             c.cfg.retry.maxRetries =
-                 static_cast<unsigned>(c.uintIn(0, 1'000'000));
-         }},
-        {"retry-backoff",
-         [](const OvCtx &c) {
-             const auto [base, cap] = c.numPair();
-             if (base < 0.0 || cap < base)
-                 c.fail("backoff needs 0 <= BASE <= CAP");
-             c.cfg.retry.backoffBaseUs = base;
-             c.cfg.retry.backoffCapUs = cap;
-         }},
-    };
-    return table;
-}
-
-bool
-keyPresent(const std::vector<SpecOverride> &ovs, const char *key)
-{
-    for (const SpecOverride &ov : ovs)
-        if (ov.key == key)
-            return true;
-    return false;
-}
-
-} // namespace
-
-void
-applySpecOverride(SimConfig &cfg, const SpecOverride &ov,
-                  const SpecSource &src)
-{
-    const auto &table = overrideTable();
-    auto it = table.find(ov.key);
-    if (it == table.end()) {
-        std::string known;
-        for (const auto &[name, fn] : table) {
-            (void)fn;
-            known += known.empty() ? name : ", " + name;
-        }
-        specFail(src, ov.value,
-                 "unknown configuration key \"" + ov.key +
-                     "\" (known keys: " + known + ")");
-    }
-    it->second(OvCtx{cfg, ov, src});
-}
-
-void
-applySpecOverrides(SimConfig &cfg,
-                   const std::vector<SpecOverride> &ovs,
-                   const SpecSource &src, const JsonValue &where)
-{
-    for (const SpecOverride &ov : ovs)
-        applySpecOverride(cfg, ov, src);
-
-    // Cross-key conflicts: catch configurations that would only
-    // misbehave (or silently do nothing) deep inside a sweep.
-    static const char *const scheduler_keys[] = {
-        "policy",          "queue",      "cache",
-        "cache-bytes",     "dummy-policy", "aging-threshold",
-        "enable-replacing", "batch-size",
-    };
-    if (cfg.insecure) {
-        for (const char *key : scheduler_keys) {
-            if (keyPresent(ovs, key))
-                specFail(src, where,
-                         std::string("\"") + key +
-                             "\" conflicts with the insecure "
-                             "baseline (it has no ORAM scheduler)");
-        }
-        if (cfg.shards > 1)
-            specFail(src, where,
-                     "\"shards\" > 1 conflicts with the insecure "
-                     "baseline (sharding dispatches over ORAM "
-                     "controllers)");
-    }
-    if (keyPresent(ovs, "batch-size") &&
-        cfg.controller.policy != core::PolicyKind::batched) {
-        specFail(src, where,
-                 "\"batch-size\" requires the batched policy (add "
-                 "\"policy\": \"batched\")");
-    }
-    if (keyPresent(ovs, "cache-bytes") &&
-        cfg.controller.cachePolicy == core::CachePolicy::none) {
-        specFail(src, where,
-                 "\"cache-bytes\" has no effect without a cache "
-                 "(use \"variant\": \"mac\"/\"treetop\" or "
-                 "\"cache\": \"mac\"/\"treetop\")");
-    }
-}
-
 // --- grid / point expansion ----------------------------------------------
 
 std::vector<SweepPoint>
@@ -613,23 +175,23 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
         points.push_back(SpecPoint{"base", "", {}});
 
     // Grid combinations, axes nesting rightmost-fastest.
-    std::vector<std::vector<SpecOverride>> combos{{}};
+    std::vector<std::vector<ConfigOverride>> combos{{}};
     for (const GridAxis &axis : spec.grid) {
-        std::vector<std::vector<SpecOverride>> next;
+        std::vector<std::vector<ConfigOverride>> next;
         next.reserve(combos.size() * axis.values.size());
         for (const auto &combo : combos) {
             for (const JsonValue &v : axis.values) {
                 auto extended = combo;
-                extended.push_back(SpecOverride{axis.key, v});
+                extended.push_back(ConfigOverride{axis.key, v, {}});
                 next.push_back(std::move(extended));
             }
         }
         combos = std::move(next);
     }
 
-    auto comboName = [](const std::vector<SpecOverride> &combo) {
+    auto comboName = [](const std::vector<ConfigOverride> &combo) {
         std::string name;
-        for (const SpecOverride &ov : combo) {
+        for (const ConfigOverride &ov : combo) {
             std::string v;
             if (ov.value.isString()) {
                 v = ov.value.asString();
@@ -650,9 +212,8 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
     for (const SpecPoint &point : points) {
         for (const auto &combo : combos) {
             SimConfig cfg = base;
-            applySpecOverrides(cfg, point.overrides, spec.source,
-                               spec.params);
-            applySpecOverrides(cfg, combo, spec.source, spec.params);
+            applyOverrides(cfg, point.overrides, &spec.source);
+            applyOverrides(cfg, combo, &spec.source);
 
             std::string name = point.name;
             if (!combo.empty())
@@ -674,23 +235,68 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
 
 // --- ScenarioContext -------------------------------------------------------
 
-ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
-                                 const CliArgs &args_)
-    : spec(spec_), args(args_)
+namespace
 {
-    // Mirror the historical bench option ordering exactly so spec
-    // runs stay byte-identical to the binaries they replace:
-    // defaults (now from the spec's base block), then --requests /
-    // --leaf-level, then --quick, then the shared flag groups.
-    base = SimConfig::paperDefault();
-    applySpecOverrides(base, spec.base, spec.source, spec.params);
 
-    base.requestsPerCore = static_cast<std::uint64_t>(args.getInt(
-        "requests",
-        static_cast<std::int64_t>(base.requestsPerCore)));
-    base.controller.oram.leafLevel =
-        static_cast<unsigned>(args.getInt(
-            "leaf-level", base.controller.oram.leafLevel));
+/** Reject every flag that is neither a configuration key, a key of
+ *  @p spec's params, nor a driver flag, listing the known flags. */
+void
+rejectUnknownFlags(const ExperimentSpec &spec, const CliArgs &args)
+{
+    std::set<std::string> known = {
+        "csv",           "jobs",          "list-backends",
+        "list-experiments", "list-policies", "list-scenarios",
+        "mixes",         "out",           "quick"};
+    for (const std::string &key : configKeys())
+        known.insert(key);
+    if (spec.params.isObject()) {
+        for (const auto &[key, value] : spec.params.members()) {
+            (void)value;
+            known.insert(key);
+        }
+    }
+    for (const std::string &name : args.names()) {
+        if (known.count(name) > 0)
+            continue;
+        std::string list;
+        for (const std::string &n : known)
+            list += (list.empty() ? "--" : ", --") + n;
+        fp_fatal("unknown flag --%s for spec '%s' (known flags: %s)",
+                 name.c_str(), spec.name.c_str(), list.c_str());
+    }
+}
+
+/** @p spec after rejectUnknownFlags, with every flag that names one
+ *  of its params in place of that param. A string param takes the
+ *  flag text as is; any other takes flagValue(), which the typed
+ *  accessors check when the scenario reads it. */
+ExperimentSpec
+withParamFlags(ExperimentSpec spec, const CliArgs &args)
+{
+    rejectUnknownFlags(spec, args);
+    for (const std::string &name : args.names()) {
+        const JsonValue *param = spec.params.find(name);
+        if (!param)
+            continue;
+        const std::string text = args.getString(name);
+        spec.params.replace(name, param->isString()
+                                      ? JsonValue::makeString(text)
+                                      : flagValue(text));
+        spec.paramFlags[name] = text;
+    }
+    return spec;
+}
+
+} // namespace
+
+ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
+                                 const CliArgs &args)
+    : spec(withParamFlags(spec_, args))
+{
+    base = SimConfig::paperDefault();
+    applyOverrides(base, spec.base, &spec.source);
+    const std::vector<ConfigOverride> flags = flagOverrides(args);
+    applyOverrides(base, flags);
     if (args.getBool("quick")) {
         base.requestsPerCore = 150;
         base.controller.oram.leafLevel = 14;
@@ -698,18 +304,15 @@ ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
 
     csv = args.getBool("csv");
     sweepOpt = sweepOptionsFromArgs(args);
+    out = args.getString("out", spec.defaultOut);
 
-    applyObsFlags(base, args);
-    applyBackendFlags(base, args);
-
-    policyOverride = args.getString("policy", "");
-    if (!policyOverride.empty())
-        core::parsePolicyKind(policyOverride); // fatal if unknown
-    const std::int64_t batch = args.getInt("batch-size", 0);
-    if (args.has("batch-size") && batch < 1)
-        fp_fatal("--batch-size must be at least 1 (got %lld)",
-                 static_cast<long long>(batch));
-    batchSizeOverride = static_cast<unsigned>(batch);
+    for (const ConfigOverride &ov : flags) {
+        if (ov.key == "policy")
+            policyOverride = *ov.flag;
+        else if (ov.key == "batch-size")
+            batchSizeOverride =
+                static_cast<unsigned>(ov.value.asUint64());
+    }
     base = applyPolicy(std::move(base));
 
     const std::string mix_flag = args.getString("mixes", "");
@@ -739,8 +342,7 @@ SimConfig
 ScenarioContext::pointConfig(const SpecPoint &point) const
 {
     SimConfig cfg = base;
-    applySpecOverrides(cfg, point.overrides, spec.source,
-                       spec.params);
+    applyOverrides(cfg, point.overrides, &spec.source);
     return cfg;
 }
 

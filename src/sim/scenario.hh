@@ -6,8 +6,8 @@
  * output files and baseline-gate metrics — parsed from a JSON spec
  * file committed under experiments/ (see spec_parse.hh). A Scenario
  * is the registered rendering/wiring code a spec selects by name; the
- * `fp_bench` driver (and the thin legacy bench wrappers) load a spec,
- * build a ScenarioContext from it plus the command line, and dispatch.
+ * `fp_bench` driver loads a spec, builds a ScenarioContext from it
+ * plus the command line, and dispatches.
  *
  * Responsibilities are split so new experiments are data, not code:
  *
@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,35 +43,8 @@
 namespace fp::sim
 {
 
-/**
- * Where a spec came from: file path, raw text (kept for line-number
- * computation in post-parse error messages) and the FNV-1a hash of
- * the text, which doubles as the provenance stamp.
- */
-struct SpecSource
-{
-    std::string path = "<inline>";
-    std::string text;
-    std::uint64_t hash = 0;
-};
-
 /** FNV-1a 64-bit hash of @p text (the spec provenance hash). */
 std::uint64_t specHash(const std::string &text);
-
-/**
- * Fatal spec error pointing at @p node's line in the spec file:
- * "experiment spec PATH:LINE: MSG". Exits with status 1 (throws
- * SimFailure under ScopedRecoverableFailures, like every fp_fatal).
- */
-[[noreturn]] void specFail(const SpecSource &src, const JsonValue &node,
-                           const std::string &msg);
-
-/** One `"key": value` configuration override from a spec. */
-struct SpecOverride
-{
-    std::string key;
-    JsonValue value;
-};
 
 /**
  * One named experiment point: a config-override set, optionally
@@ -81,7 +55,7 @@ struct SpecPoint
 {
     std::string name;
     std::string mix; //!< Empty: the scenario decides (usually ctx.mixes).
-    std::vector<SpecOverride> overrides;
+    std::vector<ConfigOverride> overrides;
 };
 
 /** One cross-product axis of the generic sweep grid. */
@@ -109,7 +83,7 @@ struct ExperimentSpec
 
     /** Base SimConfig overrides, applied to paperDefault() in order
      *  before any command-line flag. */
-    std::vector<SpecOverride> base;
+    std::vector<ConfigOverride> base;
 
     /** Cross-product axes (generic sweep scenario). */
     std::vector<GridAxis> grid;
@@ -119,6 +93,9 @@ struct ExperimentSpec
 
     /** Scenario-specific parameters (free-form JSON object). */
     JsonValue params;
+    /** The params a command-line flag replaced: key -> flag text
+     *  (their diagnostics name the flag, not a spec line). */
+    std::map<std::string, std::string> paramFlags;
 
     /** Default --out path for scenarios that write a JSON document. */
     std::string defaultOut;
@@ -157,26 +134,6 @@ struct ExperimentSpec
 };
 
 /**
- * Apply one spec override to @p cfg. The key table mirrors the CLI
- * flags plus the sim::with* variant helpers; unknown keys, type
- * mismatches and out-of-range values are fatal with the spec
- * file/line. See docs/ARCHITECTURE.md for the full key reference.
- */
-void applySpecOverride(SimConfig &cfg, const SpecOverride &ov,
-                       const SpecSource &src);
-
-/**
- * Apply a whole override set in order, then validate cross-key
- * conflicts (insecure + scheduler knobs, shards on the insecure
- * baseline, batch-size without the batched policy, cache-bytes
- * without a cache). @p where anchors conflict messages to the
- * override object's spec line.
- */
-void applySpecOverrides(SimConfig &cfg,
-                        const std::vector<SpecOverride> &ovs,
-                        const SpecSource &src, const JsonValue &where);
-
-/**
  * Expand the spec's explicit points and grid cross-product against
  * @p base, one SweepPoint per (config, mix) pair. Grid axes nest
  * rightmost-fastest; point names are "<mix>/<name>" when more than
@@ -187,18 +144,31 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
                  const std::vector<std::string> &mixes);
 
 /**
- * Everything a scenario needs at run time: the spec, the command
- * line, the resolved base config and mix list, and sweep helpers
- * (policy forcing, fatal failed points, csv-aware emission) plus
- * provenance stamping.
+ * Everything a scenario needs at run time: the spec (with its params
+ * overridden by flags), the resolved base config and mix list, and
+ * sweep helpers (policy forcing, fatal failed points, csv-aware
+ * emission) plus provenance stamping. Scenarios read only these, not
+ * the command line.
+ *
+ * A command-line flag must name a configuration key (configKeys()),
+ * a key of the spec's `params` object, or a driver flag (quick, csv,
+ * jobs, mixes, out, list-*); anything else is fatal with the list of
+ * known flags. A flag may name a key and a param at once; it then
+ * sets both.
  */
 class ScenarioContext
 {
   public:
+    /**
+     * The base config stacks, lowest first: paperDefault(), the
+     * spec's `base`, the configuration-key flags (one more override
+     * set, conflict-checked like a spec's), then --quick (150
+     * requests, L=14). --policy/--batch-size are also forced again
+     * onto every non-insecure point (applyPolicy).
+     */
     ScenarioContext(const ExperimentSpec &spec, const CliArgs &args);
 
-    const ExperimentSpec &spec;
-    const CliArgs &args;
+    const ExperimentSpec spec;
 
     /** paperDefault + spec base overrides + command-line flags. */
     SimConfig base;
@@ -206,6 +176,8 @@ class ScenarioContext
     std::vector<std::string> mixes;
     bool csv = false;
     SweepOptions sweepOpt;
+    /** --out, else the spec's output.out (empty when neither). */
+    std::string out;
 
     /** --policy / --batch-size, forced onto every non-insecure point
      *  after its series transform (empty/0 = no override). */
@@ -234,7 +206,8 @@ class ScenarioContext
     std::vector<RunResult> run(std::vector<SweepPoint> points) const;
 
     /** Like run() but failed points come back as error outcomes
-     *  (bench_faults: degradation is the behaviour under test). */
+     *  (the faults scenario: degradation is the behaviour under
+     *  test). */
     std::vector<SweepOutcome>
     runRaw(std::vector<SweepPoint> points) const;
 

@@ -1,9 +1,14 @@
 #include "sim/sim_config.hh"
 
 #include <algorithm>
-#include <exception>
+#include <cmath>
+#include <cstdlib>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 
+#include "core/access_policy.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 
@@ -34,36 +39,6 @@ SimConfig::paperDefault()
     return cfg;
 }
 
-void
-applyObsFlags(SimConfig &cfg, const CliArgs &args)
-{
-    cfg.obs.traceOut = args.getString("trace-out", cfg.obs.traceOut);
-    cfg.obs.statsOut = args.getString("stats-out", cfg.obs.statsOut);
-    cfg.obs.statsIntervalTicks = static_cast<Tick>(args.getInt(
-        "stats-interval",
-        static_cast<std::int64_t>(cfg.obs.statsIntervalTicks)));
-    fp_assert(cfg.obs.statsIntervalTicks > 0,
-              "--stats-interval must be positive");
-
-    if (args.has("profile-requests"))
-        cfg.obs.profileRequests = true;
-    cfg.obs.profileOut =
-        args.getString("profile-out", cfg.obs.profileOut);
-
-    if (args.has("trace-level")) {
-        std::string lvl = args.getString("trace-level", "access");
-        if (lvl == "off" || lvl == "0")
-            cfg.obs.traceLevel = obs::TraceLevel::off;
-        else if (lvl == "access" || lvl == "1")
-            cfg.obs.traceLevel = obs::TraceLevel::access;
-        else if (lvl == "full" || lvl == "2")
-            cfg.obs.traceLevel = obs::TraceLevel::full;
-        else
-            fp_fatal("unknown --trace-level '%s' (off|access|full)",
-                     lvl.c_str());
-    }
-}
-
 BackendKind
 parseBackendKind(const std::string &name)
 {
@@ -90,167 +65,6 @@ std::vector<std::string>
 backendKindNames()
 {
     return {"dram", "net"};
-}
-
-void
-applyBackendFlags(SimConfig &cfg, const CliArgs &args)
-{
-    if (args.has("backend")) {
-        cfg.backendKind =
-            parseBackendKind(args.getString("backend", "dram"));
-    }
-    cfg.net.oneWayLatencyUs =
-        args.getDouble("net-latency-us", cfg.net.oneWayLatencyUs);
-    cfg.net.linkGbps = args.getDouble("net-gbps", cfg.net.linkGbps);
-    const std::int64_t window = args.getInt(
-        "net-window", static_cast<std::int64_t>(cfg.net.window));
-    if (window < 1)
-        fp_fatal("--net-window must be at least 1 (got %lld)",
-                 static_cast<long long>(window));
-    cfg.net.window = static_cast<unsigned>(window);
-    // User input: reject with a CLI error (exit 1), not an assert.
-    cfg.net.validate();
-
-    const std::int64_t shards = args.getInt(
-        "shards", static_cast<std::int64_t>(cfg.shards));
-    if (shards < 1)
-        fp_fatal("--shards must be at least 1 (got %lld)",
-                 static_cast<long long>(shards));
-    cfg.shards = static_cast<unsigned>(shards);
-
-    const std::int64_t shard_window = args.getInt(
-        "shard-window", static_cast<std::int64_t>(cfg.shardWindow));
-    if (shard_window < 1)
-        fp_fatal("--shard-window must be at least 1 (got %lld)",
-                 static_cast<long long>(shard_window));
-    cfg.shardWindow = static_cast<unsigned>(shard_window);
-
-    applyFaultFlags(cfg, args);
-}
-
-namespace
-{
-
-double
-rateFlag(const CliArgs &args, const char *name, double dflt)
-{
-    const double v = args.getDouble(name, dflt);
-    if (v < 0.0 || v > 1.0)
-        fp_fatal("--%s must be a probability in [0,1] (got %g)", name,
-                 v);
-    return v;
-}
-
-} // namespace
-
-void
-applyFaultFlags(SimConfig &cfg, const CliArgs &args)
-{
-    cfg.faults.lossRate =
-        rateFlag(args, "fault-loss-rate", cfg.faults.lossRate);
-    cfg.faults.errorRate =
-        rateFlag(args, "fault-error-rate", cfg.faults.errorRate);
-
-    if (args.has("fault-spike-us")) {
-        cfg.faults.spikeUs =
-            args.getDouble("fault-spike-us", cfg.faults.spikeUs);
-        if (cfg.faults.spikeUs < 0.0)
-            fp_fatal("--fault-spike-us must be non-negative (got %g)",
-                     cfg.faults.spikeUs);
-        // Asking for a spike magnitude without a rate means "spike
-        // some requests": default the rate on rather than silently
-        // doing nothing.
-        if (cfg.faults.spikeRate == 0.0 &&
-            !args.has("fault-spike-rate")) {
-            cfg.faults.spikeRate = 0.01;
-        }
-    }
-    cfg.faults.spikeRate =
-        rateFlag(args, "fault-spike-rate", cfg.faults.spikeRate);
-
-    if (args.has("fault-outage")) {
-        const std::string window =
-            args.getString("fault-outage", "");
-        const auto colon = window.find(':');
-        std::size_t t0_end = 0, t1_end = 0;
-        double t0 = -1.0, t1 = -1.0;
-        if (colon != std::string::npos) {
-            try {
-                t0 = std::stod(window.substr(0, colon), &t0_end);
-                t1 = std::stod(window.substr(colon + 1), &t1_end);
-            } catch (const std::exception &) {
-                t0_end = 0; // fall through to the error below
-            }
-        }
-        if (colon == std::string::npos || t0_end != colon ||
-            t1_end != window.size() - colon - 1 || t0 < 0.0 ||
-            t1 <= t0) {
-            fp_fatal("--fault-outage expects T0:T1 in microseconds "
-                     "with 0 <= T0 < T1 (got '%s')",
-                     window.c_str());
-        }
-        cfg.faults.outageStartUs = t0;
-        cfg.faults.outageEndUs = t1;
-    }
-
-    cfg.faults.seed = static_cast<std::uint64_t>(args.getInt(
-        "fault-seed", static_cast<std::int64_t>(cfg.faults.seed)));
-
-    cfg.retry.timeoutUs =
-        args.getDouble("retry-timeout-us", cfg.retry.timeoutUs);
-    if (cfg.retry.timeoutUs < 0.0)
-        fp_fatal("--retry-timeout-us must be non-negative (got %g)",
-                 cfg.retry.timeoutUs);
-
-    const std::int64_t max_retries = args.getInt(
-        "retry-max", static_cast<std::int64_t>(cfg.retry.maxRetries));
-    if (max_retries < 0)
-        fp_fatal("--retry-max must be non-negative (got %lld)",
-                 static_cast<long long>(max_retries));
-    cfg.retry.maxRetries = static_cast<unsigned>(max_retries);
-
-    if (args.has("retry-backoff")) {
-        const std::string spec = args.getString("retry-backoff", "");
-        const auto colon = spec.find(':');
-        try {
-            if (colon == std::string::npos) {
-                cfg.retry.backoffBaseUs = std::stod(spec);
-                cfg.retry.backoffCapUs = std::max(
-                    cfg.retry.backoffCapUs, cfg.retry.backoffBaseUs);
-            } else {
-                cfg.retry.backoffBaseUs =
-                    std::stod(spec.substr(0, colon));
-                cfg.retry.backoffCapUs =
-                    std::stod(spec.substr(colon + 1));
-            }
-        } catch (const std::exception &) {
-            fp_fatal("--retry-backoff expects BASE or BASE:CAP in "
-                     "microseconds (got '%s')",
-                     spec.c_str());
-        }
-        if (cfg.retry.backoffBaseUs < 0.0 ||
-            cfg.retry.backoffCapUs < cfg.retry.backoffBaseUs) {
-            fp_fatal("--retry-backoff needs 0 <= BASE <= CAP "
-                     "(got %g:%g)",
-                     cfg.retry.backoffBaseUs, cfg.retry.backoffCapUs);
-        }
-    }
-}
-
-void
-applyPolicyFlags(SimConfig &cfg, const CliArgs &args)
-{
-    if (args.has("policy")) {
-        cfg = withPolicyName(std::move(cfg),
-                             args.getString("policy", ""));
-    }
-    const std::int64_t batch = args.getInt(
-        "batch-size",
-        static_cast<std::int64_t>(cfg.controller.batchSize));
-    if (batch < 1)
-        fp_fatal("--batch-size must be at least 1 (got %lld)",
-                 static_cast<long long>(batch));
-    cfg.controller.batchSize = static_cast<unsigned>(batch);
 }
 
 SimConfig
@@ -314,6 +128,552 @@ withInsecure(SimConfig cfg)
 {
     cfg.insecure = true;
     return cfg;
+}
+
+// --- the configuration key table --------------------------------------------
+
+void
+specFail(const SpecSource &src, const JsonValue &node,
+         const std::string &msg)
+{
+    fp_fatal("experiment spec %s:%zu: %s", src.path.c_str(),
+             jsonLineOf(src.text, node.sourceOffset()), msg.c_str());
+}
+
+namespace
+{
+
+/** One override being applied: typed, range-checked reads of its
+ *  value, and failures that name the flag or the spec line. */
+struct OvCtx
+{
+    SimConfig &cfg;
+    const ConfigOverride &ov;
+    const SpecSource *spec;
+
+    [[noreturn]] void
+    fail(const std::string &what) const
+    {
+        if (ov.flag)
+            fp_fatal("--%s=%s: %s", ov.key.c_str(), ov.flag->c_str(),
+                     what.c_str());
+        fp_assert(spec, "spec override \"%s\" without its spec",
+                  ov.key.c_str());
+        specFail(*spec, ov.value, "\"" + ov.key + "\": " + what);
+    }
+
+    std::uint64_t
+    uintIn(std::uint64_t lo, std::uint64_t hi) const
+    {
+        if (!ov.value.isUint64())
+            fail("expected an integer");
+        const std::uint64_t n = ov.value.asUint64();
+        if (n < lo || n > hi)
+            fail(strprintf("value %llu out of range [%llu, %llu]",
+                           static_cast<unsigned long long>(n),
+                           static_cast<unsigned long long>(lo),
+                           static_cast<unsigned long long>(hi)));
+        return n;
+    }
+
+    double
+    numIn(double lo, double hi) const
+    {
+        if (!ov.value.isNumber())
+            fail("expected a number");
+        const double v = ov.value.asNumber();
+        if (v < lo || v > hi)
+            fail(strprintf("value %g out of range [%g, %g]", v, lo,
+                           hi));
+        return v;
+    }
+
+    bool
+    boolean() const
+    {
+        if (!ov.value.isBool())
+            fail("expected true or false");
+        return ov.value.asBool();
+    }
+
+    /** A flag's text is its string even when it reads as a number
+     *  (`--trace-out=1` names the file "1"). */
+    std::string
+    str() const
+    {
+        if (ov.flag)
+            return *ov.flag;
+        if (!ov.value.isString())
+            fail("expected a string");
+        return ov.value.asString();
+    }
+
+    /** [lo, hi] pair for window-style values ("fault-outage"). */
+    std::pair<double, double>
+    numPair() const
+    {
+        if (!ov.value.isArray() || ov.value.size() != 2 ||
+            !ov.value.at(std::size_t{0}).isNumber() ||
+            !ov.value.at(std::size_t{1}).isNumber())
+            fail("expected two numbers ([lo, hi], or LO:HI as a "
+                 "flag)");
+        return {ov.value.at(std::size_t{0}).asNumber(),
+                ov.value.at(std::size_t{1}).asNumber()};
+    }
+};
+
+using OvHandler = void (*)(const OvCtx &);
+
+// docs/ARCHITECTURE.md ("Authoring experiments") documents the keys;
+// tests/test_scenario.cc sets every key through a spec and a flag.
+const std::map<std::string, OvHandler> &
+overrideTable()
+{
+    static const std::map<std::string, OvHandler> table = {
+        // --- run shape ---------------------------------------------------
+        {"requests",
+         [](const OvCtx &c) {
+             c.cfg.requestsPerCore = c.uintIn(1, 100'000'000);
+         }},
+        {"leaf-level",
+         [](const OvCtx &c) {
+             c.cfg.controller.oram.leafLevel =
+                 static_cast<unsigned>(c.uintIn(4, 40));
+         }},
+        {"cores",
+         [](const OvCtx &c) {
+             c.cfg.cores = static_cast<unsigned>(c.uintIn(1, 1024));
+         }},
+        {"max-outstanding",
+         [](const OvCtx &c) {
+             c.cfg.maxOutstanding =
+                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
+         }},
+        {"cpu-period-ticks",
+         [](const OvCtx &c) {
+             c.cfg.cpuPeriodTicks =
+                 static_cast<Tick>(c.uintIn(1, ~std::uint64_t{0}));
+         }},
+        {"seed",
+         [](const OvCtx &c) {
+             c.cfg.seed = c.uintIn(0, ~std::uint64_t{0});
+         }},
+        {"shared-address-space",
+         [](const OvCtx &c) {
+             c.cfg.sharedAddressSpace = c.boolean();
+         }},
+
+        // --- controller variant / scheduling -----------------------------
+        {"variant",
+         [](const OvCtx &c) {
+             // The sim::with* helpers rebuild the controller, so the
+             // variant key must precede queue/cache refinements; the
+             // overrides apply in order, making that natural.
+             const std::string v = c.str();
+             if (v == "traditional")
+                 c.cfg = withTraditional(std::move(c.cfg));
+             else if (v == "merge")
+                 c.cfg = withMergeOnly(std::move(c.cfg));
+             else if (v == "mac")
+                 c.cfg = withMergeMac(std::move(c.cfg),
+                                      std::uint64_t{1} << 20);
+             else if (v == "treetop")
+                 c.cfg = withMergeTreetop(std::move(c.cfg),
+                                          std::uint64_t{1} << 20);
+             else if (v == "insecure")
+                 c.cfg = withInsecure(std::move(c.cfg));
+             else
+                 c.fail("unknown variant '" + v +
+                        "' (traditional|merge|mac|treetop|insecure)");
+         }},
+        {"policy",
+         [](const OvCtx &c) {
+             // parsePolicyKind is fatal on unknown names but without
+             // the location; check here for a better message.
+             const std::string v = c.str();
+             const auto names = core::accessPolicyNames();
+             if (std::find(names.begin(), names.end(), v) ==
+                 names.end())
+                 c.fail("unknown policy '" + v + "'");
+             c.cfg = withPolicyName(std::move(c.cfg), v);
+         }},
+        {"queue",
+         [](const OvCtx &c) {
+             c.cfg.controller.labelQueueSize =
+                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
+         }},
+        {"cache",
+         [](const OvCtx &c) {
+             const std::string v = c.str();
+             if (v == "none")
+                 c.cfg.controller.cachePolicy =
+                     core::CachePolicy::none;
+             else if (v == "mac")
+                 c.cfg.controller.cachePolicy = core::CachePolicy::mac;
+             else if (v == "treetop")
+                 c.cfg.controller.cachePolicy =
+                     core::CachePolicy::treetop;
+             else
+                 c.fail("unknown cache '" + v +
+                        "' (none|mac|treetop)");
+         }},
+        {"cache-bytes",
+         [](const OvCtx &c) {
+             c.cfg.controller.cacheBudgetBytes =
+                 c.uintIn(1, std::uint64_t{1} << 40);
+         }},
+        {"dummy-policy",
+         [](const OvCtx &c) {
+             const std::string v = c.str();
+             if (v == "compete")
+                 c.cfg.controller.dummyPolicy =
+                     core::DummySelectPolicy::compete;
+             else if (v == "realFirst")
+                 c.cfg.controller.dummyPolicy =
+                     core::DummySelectPolicy::realFirst;
+             else
+                 c.fail("unknown dummy-policy '" + v +
+                        "' (compete|realFirst)");
+         }},
+        {"aging-threshold",
+         [](const OvCtx &c) {
+             c.cfg.controller.agingThreshold =
+                 static_cast<unsigned>(c.uintIn(1, ~std::uint32_t{0}));
+         }},
+        {"enable-replacing",
+         [](const OvCtx &c) {
+             c.cfg.controller.enableDummyReplacing = c.boolean();
+         }},
+        {"batch-size",
+         [](const OvCtx &c) {
+             c.cfg.controller.batchSize =
+                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
+         }},
+        {"insecure",
+         [](const OvCtx &c) { c.cfg.insecure = c.boolean(); }},
+
+        // --- structure ---------------------------------------------------
+        {"layout",
+         [](const OvCtx &c) {
+             const std::string v = c.str();
+             if (v == "subtree")
+                 c.cfg.controller.layout =
+                     dram::LayoutPolicy::subtree;
+             else if (v == "linear")
+                 c.cfg.controller.layout = dram::LayoutPolicy::linear;
+             else
+                 c.fail("unknown layout '" + v +
+                        "' (subtree|linear)");
+         }},
+        {"recursion-depth",
+         [](const OvCtx &c) {
+             c.cfg.controller.recursionDepth =
+                 static_cast<unsigned>(c.uintIn(0, 8));
+         }},
+        {"recursion-fanout",
+         [](const OvCtx &c) {
+             c.cfg.controller.recursionFanout =
+                 static_cast<unsigned>(c.uintIn(2, 1024));
+         }},
+        {"plb-entries",
+         [](const OvCtx &c) {
+             c.cfg.controller.plbEntries = static_cast<std::size_t>(
+                 c.uintIn(0, std::uint64_t{1} << 32));
+         }},
+        {"periodic-interval-ticks",
+         [](const OvCtx &c) {
+             c.cfg.controller.periodicIntervalTicks =
+                 static_cast<Tick>(c.uintIn(0, ~std::uint64_t{0}));
+         }},
+        {"integrity",
+         [](const OvCtx &c) {
+             c.cfg.controller.enableIntegrity = c.boolean();
+         }},
+        {"payload-bytes",
+         [](const OvCtx &c) {
+             c.cfg.controller.oram.payloadBytes =
+                 static_cast<std::size_t>(c.uintIn(0, 1 << 20));
+         }},
+        {"stash-capacity",
+         [](const OvCtx &c) {
+             c.cfg.controller.oram.stashCapacity =
+                 static_cast<std::size_t>(
+                     c.uintIn(1, std::uint64_t{1} << 32));
+         }},
+        {"oram-seed",
+         [](const OvCtx &c) {
+             c.cfg.controller.oram.seed =
+                 c.uintIn(0, ~std::uint64_t{0});
+         }},
+
+        // --- memory system -----------------------------------------------
+        {"channels",
+         [](const OvCtx &c) {
+             // Replaces the whole DRAM parameter block, so list it
+             // before page-policy when both appear.
+             c.cfg.dram = dram::DramParams::ddr3_1600(
+                 static_cast<unsigned>(c.uintIn(1, 8)));
+         }},
+        {"page-policy",
+         [](const OvCtx &c) {
+             const std::string v = c.str();
+             if (v == "open")
+                 c.cfg.dram.pagePolicy = dram::PagePolicy::open;
+             else if (v == "closed")
+                 c.cfg.dram.pagePolicy = dram::PagePolicy::closed;
+             else
+                 c.fail("unknown page-policy '" + v +
+                        "' (open|closed)");
+         }},
+        {"backend",
+         [](const OvCtx &c) {
+             const std::string v = c.str();
+             const auto names = backendKindNames();
+             if (std::find(names.begin(), names.end(), v) ==
+                 names.end())
+                 c.fail("unknown backend '" + v + "'");
+             c.cfg.backendKind = parseBackendKind(v);
+         }},
+        {"net-latency-us",
+         [](const OvCtx &c) {
+             c.cfg.net.oneWayLatencyUs = c.numIn(0.0, 1e9);
+         }},
+        {"net-gbps",
+         [](const OvCtx &c) {
+             c.cfg.net.linkGbps = c.numIn(1e-3, 1e6);
+         }},
+        {"net-window",
+         [](const OvCtx &c) {
+             c.cfg.net.window =
+                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
+         }},
+        {"shards",
+         [](const OvCtx &c) {
+             c.cfg.shards = static_cast<unsigned>(c.uintIn(1, 1024));
+         }},
+        {"shard-window",
+         [](const OvCtx &c) {
+             c.cfg.shardWindow =
+                 static_cast<unsigned>(c.uintIn(1, 1'000'000));
+         }},
+
+        // --- faults / retry ----------------------------------------------
+        {"fault-loss-rate",
+         [](const OvCtx &c) {
+             c.cfg.faults.lossRate = c.numIn(0.0, 1.0);
+         }},
+        {"fault-error-rate",
+         [](const OvCtx &c) {
+             c.cfg.faults.errorRate = c.numIn(0.0, 1.0);
+         }},
+        {"fault-spike-rate",
+         [](const OvCtx &c) {
+             c.cfg.faults.spikeRate = c.numIn(0.0, 1.0);
+         }},
+        {"fault-spike-us",
+         [](const OvCtx &c) {
+             c.cfg.faults.spikeUs = c.numIn(0.0, 1e9);
+         }},
+        {"fault-outage",
+         [](const OvCtx &c) {
+             const auto [t0, t1] = c.numPair();
+             if (t0 < 0.0 || t1 <= t0)
+                 c.fail("outage window needs 0 <= T0 < T1");
+             c.cfg.faults.outageStartUs = t0;
+             c.cfg.faults.outageEndUs = t1;
+         }},
+        {"fault-seed",
+         [](const OvCtx &c) {
+             c.cfg.faults.seed = c.uintIn(0, ~std::uint64_t{0});
+         }},
+        {"retry-timeout-us",
+         [](const OvCtx &c) {
+             c.cfg.retry.timeoutUs = c.numIn(0.0, 1e9);
+         }},
+        {"retry-max",
+         [](const OvCtx &c) {
+             c.cfg.retry.maxRetries =
+                 static_cast<unsigned>(c.uintIn(0, 1'000'000));
+         }},
+        {"retry-backoff",
+         [](const OvCtx &c) {
+             // BASE alone keeps the cap, raised to BASE if below it.
+             double base = 0.0, cap = 0.0;
+             if (c.ov.value.isNumber()) {
+                 base = c.numIn(0.0, 1e9);
+                 cap = std::max(c.cfg.retry.backoffCapUs, base);
+             } else {
+                 std::tie(base, cap) = c.numPair();
+             }
+             if (base < 0.0 || cap < base)
+                 c.fail("backoff needs 0 <= BASE <= CAP");
+             c.cfg.retry.backoffBaseUs = base;
+             c.cfg.retry.backoffCapUs = cap;
+         }},
+
+        // --- observability -----------------------------------------------
+        {"trace-out",
+         [](const OvCtx &c) { c.cfg.obs.traceOut = c.str(); }},
+        {"trace-level",
+         [](const OvCtx &c) {
+             const std::string v = c.str();
+             if (v == "off" || v == "0")
+                 c.cfg.obs.traceLevel = obs::TraceLevel::off;
+             else if (v == "access" || v == "1")
+                 c.cfg.obs.traceLevel = obs::TraceLevel::access;
+             else if (v == "full" || v == "2")
+                 c.cfg.obs.traceLevel = obs::TraceLevel::full;
+             else
+                 c.fail("unknown trace-level '" + v +
+                        "' (off|access|full)");
+         }},
+        {"stats-out",
+         [](const OvCtx &c) { c.cfg.obs.statsOut = c.str(); }},
+        {"stats-interval",
+         [](const OvCtx &c) {
+             c.cfg.obs.statsIntervalTicks =
+                 static_cast<Tick>(c.uintIn(1, ~std::uint64_t{0}));
+         }},
+        {"profile-requests",
+         [](const OvCtx &c) {
+             c.cfg.obs.profileRequests = c.boolean();
+         }},
+        {"profile-out",
+         [](const OvCtx &c) { c.cfg.obs.profileOut = c.str(); }},
+    };
+    return table;
+}
+
+/** The last override in @p ovs whose key is one of @p keys. */
+const ConfigOverride *
+lastOf(const std::vector<ConfigOverride> &ovs,
+       std::initializer_list<const char *> keys)
+{
+    const ConfigOverride *found = nullptr;
+    for (const ConfigOverride &ov : ovs) {
+        for (const char *key : keys) {
+            if (ov.key == key)
+                found = &ov;
+        }
+    }
+    return found;
+}
+
+/** A decimal number, in full: no hex, inf or nan, no spaces. An
+ *  integer literal of 2^53 or more would round silently (values are
+ *  doubles, as in a spec), so it is no number. */
+bool
+decimalNumber(const std::string &text, double &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789+-.eE") != std::string::npos)
+        return false;
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    const bool integer = text.find_first_of(".eE") == std::string::npos;
+    return *end == '\0' && std::isfinite(out) &&
+           !(integer && std::fabs(out) >= 9007199254740992.0);
+}
+
+} // namespace
+
+std::vector<std::string>
+configKeys()
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, fn] : overrideTable()) {
+        (void)fn;
+        keys.push_back(key);
+    }
+    return keys;
+}
+
+void
+applyOverrides(SimConfig &cfg, const std::vector<ConfigOverride> &ovs,
+               const SpecSource *spec)
+{
+    const auto &table = overrideTable();
+    for (const ConfigOverride &ov : ovs) {
+        const OvCtx ctx{cfg, ov, spec};
+        auto it = table.find(ov.key);
+        if (it == table.end()) {
+            std::string known;
+            for (const std::string &key : configKeys())
+                known += known.empty() ? key : ", " + key;
+            ctx.fail("unknown configuration key (known keys: " +
+                     known + ")");
+        }
+        it->second(ctx);
+    }
+
+    // Cross-key conflicts: catch configurations that would only
+    // misbehave (or silently do nothing) deep inside a sweep. Each
+    // names the override that introduced it.
+    auto fail = [&](const ConfigOverride &ov, const std::string &what) {
+        OvCtx{cfg, ov, spec}.fail(what);
+    };
+    if (cfg.insecure) {
+        if (const ConfigOverride *ov = lastOf(
+                ovs, {"policy", "queue", "cache", "cache-bytes",
+                      "dummy-policy", "aging-threshold",
+                      "enable-replacing", "batch-size"}))
+            fail(*ov, "conflicts with the insecure baseline (it has "
+                      "no ORAM scheduler)");
+        const ConfigOverride *ov =
+            lastOf(ovs, {"shards", "insecure", "variant"});
+        if (ov && cfg.shards > 1)
+            fail(*ov, "shards > 1 conflicts with the insecure "
+                      "baseline (sharding dispatches over ORAM "
+                      "controllers)");
+    }
+    if (const ConfigOverride *ov = lastOf(ovs, {"batch-size"});
+        ov && cfg.controller.policy != core::PolicyKind::batched) {
+        fail(*ov, "batch-size requires the batched policy (set "
+                  "policy to batched)");
+    }
+    if (const ConfigOverride *ov = lastOf(ovs, {"cache-bytes"});
+        ov && cfg.controller.cachePolicy == core::CachePolicy::none) {
+        fail(*ov, "cache-bytes has no effect without a cache (set "
+                  "variant or cache to mac or treetop)");
+    }
+    // A spike magnitude without a rate means "spike some requests":
+    // turn the rate on rather than silently doing nothing.
+    if (lastOf(ovs, {"fault-spike-us"}) &&
+        !lastOf(ovs, {"fault-spike-rate"}) &&
+        cfg.faults.spikeRate == 0.0) {
+        cfg.faults.spikeRate = 0.01;
+    }
+}
+
+JsonValue
+flagValue(const std::string &text)
+{
+    if (text == "true" || text == "false")
+        return JsonValue::makeBool(text == "true");
+    double v = 0.0, lo = 0.0, hi = 0.0;
+    if (decimalNumber(text, v))
+        return JsonValue::makeNumber(v);
+    const auto colon = text.find(':');
+    if (colon != std::string::npos &&
+        decimalNumber(text.substr(0, colon), lo) &&
+        decimalNumber(text.substr(colon + 1), hi)) {
+        return JsonValue::makeArray(
+            {JsonValue::makeNumber(lo), JsonValue::makeNumber(hi)});
+    }
+    return JsonValue::makeString(text);
+}
+
+std::vector<ConfigOverride>
+flagOverrides(const CliArgs &args)
+{
+    std::vector<ConfigOverride> out;
+    for (const std::string &name : args.names()) {
+        if (overrideTable().count(name) == 0)
+            continue;
+        const std::string text = args.getString(name);
+        out.push_back(ConfigOverride{name, flagValue(text), text});
+    }
+    return out;
 }
 
 } // namespace fp::sim

@@ -1,14 +1,16 @@
 /**
  * @file
  * Whole-experiment configuration bundling the processor, ORAM
- * controller, DRAM and workload-shape knobs. The defaults reproduce
- * the paper's Table 1 system.
+ * controller, DRAM and workload-shape knobs, and the one key table
+ * that sets it from spec overrides and command-line flags alike. The
+ * defaults reproduce the paper's Table 1 system.
  */
 
 #ifndef FP_SIM_SIM_CONFIG_HH
 #define FP_SIM_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "mem/net_backend.hh"
 #include "mem/resilient_backend.hh"
 #include "obs/tracer.hh"
+#include "util/json.hh"
 
 namespace fp
 {
@@ -52,6 +55,8 @@ struct ObsConfig
     {
         return profileRequests || !profileOut.empty();
     }
+
+    bool operator==(const ObsConfig &) const = default;
 };
 
 /** Which mem::MemoryBackend implementation serves the controller. */
@@ -154,77 +159,72 @@ struct SimConfig
      * code flips the Fork Path features per series.
      */
     static SimConfig paperDefault();
+
+    /** Field-wise equality, nested parameter blocks included. */
+    bool operator==(const SimConfig &) const = default;
 };
 
 /**
- * Apply the shared observability flags to @p cfg:
- *
- *   --trace-out=PATH     write a Chrome-trace JSON file
- *   --trace-level=LVL    "access" (default) or "full"; also 0/1/2
- *   --stats-out=PATH     write interval-stats JSON lines
- *   --stats-interval=T   sampling period in ticks (1 tick = 1 ps)
- *   --profile-requests   per-request lifecycle profiling into the
- *                        RunResult's "profile" block
- *   --profile-out=PATH   full profile report JSON (histogram buckets
- *                        included); implies --profile-requests
- *
- * Unrecognised level names are fatal; absent flags leave defaults.
+ * Where a spec came from: file path, raw text (kept for line-number
+ * computation in post-parse error messages) and the FNV-1a hash of
+ * the text, which doubles as the provenance stamp.
  */
-void applyObsFlags(SimConfig &cfg, const CliArgs &args);
+struct SpecSource
+{
+    std::string path = "<inline>";
+    std::string text;
+    std::uint64_t hash = 0;
+};
 
 /**
- * Apply the shared memory-backend flags to @p cfg:
- *
- *   --backend=KIND       "dram" (default) or "net"
- *   --net-latency-us=T   one-way propagation delay (default 50)
- *   --net-gbps=B         link bandwidth in Gb/s (default 10)
- *   --net-window=N       outstanding-request window (default 16)
- *   --shards=N           independent ORAM shards (default 1)
- *   --shard-window=K     dispatcher inflight window per shard (16)
- *
- * The --net-* flags tune the model whether or not --backend=net was
- * given on the same command line (so a sweep driver can set them
- * once). Unknown kinds and non-positive values are fatal.
- *
- * Also applies the fault-injection / retry flags (applyFaultFlags).
+ * Fatal spec error pointing at @p node's line in the spec file:
+ * "experiment spec PATH:LINE: MSG". Exits with status 1 (throws
+ * SimFailure under ScopedRecoverableFailures, like every fp_fatal).
  */
-void applyBackendFlags(SimConfig &cfg, const CliArgs &args);
+[[noreturn]] void specFail(const SpecSource &src, const JsonValue &node,
+                           const std::string &msg);
 
 /**
- * Apply the fault-injection and retry flags to @p cfg (called from
- * applyBackendFlags; exposed for harnesses that only want these):
- *
- *   --fault-loss-rate=P    probability a request is lost (default 0)
- *   --fault-error-rate=P   probability of a transient error (0)
- *   --fault-spike-rate=P   probability of a latency spike (0; set
- *                          implicitly to 0.01 by --fault-spike-us)
- *   --fault-spike-us=T     spike magnitude in us (default 500)
- *   --fault-outage=T0:T1   store unreachable for [T0,T1) us
- *   --fault-seed=S         fault-decision stream seed
- *   --retry-timeout-us=T   per-attempt completion deadline (0 = auto)
- *   --retry-max=N          retries after the first attempt (5)
- *   --retry-backoff=B[:C]  backoff base (and cap) in us
- *
- * Rates outside [0,1], negative times, and malformed outage windows
- * are fatal with a CLI-facing message.
+ * One `key: value` configuration override. The entries of a spec's
+ * `base`, `grid` and `points[].set` and every command-line flag that
+ * names a configuration key become one of these, and one key table
+ * applies them all (applyOverrides).
  */
-void applyFaultFlags(SimConfig &cfg, const CliArgs &args);
+struct ConfigOverride
+{
+    std::string key;
+    JsonValue value;
+    /** TEXT when the override came from a `--key=TEXT` flag; the
+     *  diagnostics then name the flag instead of a spec line. */
+    std::optional<std::string> flag;
+};
+
+/** Every configuration key of the table, sorted. */
+std::vector<std::string> configKeys();
 
 /**
- * Apply the scheduling-policy flags to @p cfg:
- *
- *   --policy=NAME        access policy from the core registry
- *                        ("traditional", "forkpath", "batched");
- *                        applies the policy's canonical preset via
- *                        core::applyPolicyPreset, keeping the ORAM
- *                        geometry and timing knobs
- *   --batch-size=N       admission batch of the batched policy (8)
- *
- * Unknown names and non-positive batch sizes are fatal. Absent flags
- * leave @p cfg's controller untouched, so default invocations stay
- * byte-identical to historical output.
+ * Apply @p ovs to @p cfg in order, each through its key's setter and
+ * range check, then check the conflicts the set introduces: the
+ * insecure baseline with a scheduler key or with shards > 1,
+ * batch-size without the batched policy, cache-bytes without a
+ * cache. A set that gives fault-spike-us but no fault-spike-rate
+ * turns a zero spike rate into 0.01. Every failure is fatal: a flag
+ * override names its flag, a spec override its line in @p spec.
  */
-void applyPolicyFlags(SimConfig &cfg, const CliArgs &args);
+void applyOverrides(SimConfig &cfg,
+                    const std::vector<ConfigOverride> &ovs,
+                    const SpecSource *spec = nullptr);
+
+/**
+ * A flag's text in the form a spec value takes: `true`/`false` is a
+ * bool, a decimal number a number, `A:B` of two numbers the pair
+ * that fault-outage and retry-backoff take, anything else a string.
+ */
+JsonValue flagValue(const std::string &text);
+
+/** The flags of @p args that name a configuration key, in
+ *  command-line order, with their values as flagValue gives them. */
+std::vector<ConfigOverride> flagOverrides(const CliArgs &args);
 
 /** Select a scheduling policy by kind (core registry preset). */
 SimConfig withPolicy(SimConfig cfg, core::PolicyKind kind);

@@ -79,15 +79,15 @@ expectStringList(const SpecSource &src, const JsonValue &v,
     return out;
 }
 
-std::vector<SpecOverride>
+std::vector<ConfigOverride>
 overridesOf(const SpecSource &src, const JsonValue &v,
             const std::string &what)
 {
     expectObject(src, v, what);
-    std::vector<SpecOverride> out;
+    std::vector<ConfigOverride> out;
     out.reserve(v.members().size());
     for (const auto &[key, value] : v.members())
-        out.push_back(SpecOverride{key, value});
+        out.push_back(ConfigOverride{key, value, {}});
     return out;
 }
 
@@ -147,16 +147,16 @@ void
 validateOverrides(const ExperimentSpec &spec)
 {
     SimConfig base = SimConfig::paperDefault();
-    applySpecOverrides(base, spec.base, spec.source, spec.params);
+    applyOverrides(base, spec.base, &spec.source);
 
-    std::vector<std::vector<SpecOverride>> combos{{}};
+    std::vector<std::vector<ConfigOverride>> combos{{}};
     for (const GridAxis &axis : spec.grid) {
-        std::vector<std::vector<SpecOverride>> next;
+        std::vector<std::vector<ConfigOverride>> next;
         next.reserve(combos.size() * axis.values.size());
         for (const auto &combo : combos) {
             for (const JsonValue &v : axis.values) {
                 auto extended = combo;
-                extended.push_back(SpecOverride{axis.key, v});
+                extended.push_back(ConfigOverride{axis.key, v, {}});
                 next.push_back(std::move(extended));
             }
         }
@@ -169,9 +169,8 @@ validateOverrides(const ExperimentSpec &spec)
     for (const SpecPoint &point : points) {
         for (const auto &combo : combos) {
             SimConfig cfg = base;
-            applySpecOverrides(cfg, point.overrides, spec.source,
-                               spec.params);
-            applySpecOverrides(cfg, combo, spec.source, spec.params);
+            applyOverrides(cfg, point.overrides, &spec.source);
+            applyOverrides(cfg, combo, &spec.source);
         }
     }
 }

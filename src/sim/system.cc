@@ -127,8 +127,7 @@ System::System(const SimConfig &cfg,
         // A shard's StatGroups and trace tracks get an "s<N>." name
         // prefix (the dispatcher prefixes its controller stacks the
         // same way), keeping interval-stats keys unique.
-        const std::string prefix =
-            sharded ? "s" + std::to_string(s) + "." : "";
+        const std::string prefix = sharded ? strprintf("s%u.", s) : "";
         StatNameScope scope(prefix);
 
         std::unique_ptr<obs::Tracer> view;

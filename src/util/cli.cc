@@ -1,5 +1,9 @@
 #include "util/cli.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -19,14 +23,23 @@ CliArgs::CliArgs(int argc, char **argv)
         std::string body = arg.substr(2);
         auto eq = body.find('=');
         if (eq != std::string::npos) {
-            flags_[body.substr(0, eq)] = body.substr(eq + 1);
+            set(body.substr(0, eq), body.substr(eq + 1));
         } else if (i + 1 < argc &&
                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            flags_[body] = argv[++i];
+            set(body, argv[++i]);
         } else {
-            flags_[body] = "true";
+            set(body, "true");
         }
     }
+}
+
+void
+CliArgs::set(const std::string &name, std::string value)
+{
+    if (flags_.count(name) > 0)
+        names_.erase(std::find(names_.begin(), names_.end(), name));
+    names_.push_back(name);
+    flags_[name] = std::move(value);
 }
 
 bool
@@ -48,7 +61,15 @@ CliArgs::getInt(const std::string &name, std::int64_t def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    const std::string &v = it->second;
+    char *end = nullptr;
+    errno = 0;
+    const long long n = std::strtoll(v.c_str(), &end, 0);
+    if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
+        *end != '\0' || errno == ERANGE)
+        fp_fatal("--%s expects an integer (got '%s')", name.c_str(),
+                 v.c_str());
+    return n;
 }
 
 double
@@ -57,7 +78,14 @@ CliArgs::getDouble(const std::string &name, double def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    return std::strtod(it->second.c_str(), nullptr);
+    const std::string &v = it->second;
+    char *end = nullptr;
+    const double d = std::strtod(v.c_str(), &end);
+    if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
+        *end != '\0' || !std::isfinite(d))
+        fp_fatal("--%s expects a number (got '%s')", name.c_str(),
+                 v.c_str());
+    return d;
 }
 
 bool
@@ -67,7 +95,12 @@ CliArgs::getBool(const std::string &name, bool def) const
     if (it == flags_.end())
         return def;
     const std::string &v = it->second;
-    return v == "true" || v == "1" || v == "yes" || v == "on";
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    fp_fatal("--%s expects true or false (got '%s')", name.c_str(),
+             v.c_str());
 }
 
 } // namespace fp

@@ -463,6 +463,55 @@ JsonValue::parse(const std::string &text)
     return JsonParser(text).document();
 }
 
+JsonValue
+JsonValue::makeBool(bool v)
+{
+    JsonValue out;
+    out.type_ = Type::boolean;
+    out.bool_ = v;
+    return out;
+}
+
+JsonValue
+JsonValue::makeNumber(double v)
+{
+    JsonValue out;
+    out.type_ = Type::number;
+    out.num_ = v;
+    return out;
+}
+
+JsonValue
+JsonValue::makeString(std::string v)
+{
+    JsonValue out;
+    out.type_ = Type::string;
+    out.str_ = std::move(v);
+    return out;
+}
+
+JsonValue
+JsonValue::makeArray(std::vector<JsonValue> items)
+{
+    JsonValue out;
+    out.type_ = Type::array;
+    out.arr_ = std::move(items);
+    return out;
+}
+
+void
+JsonValue::replace(const std::string &key, JsonValue v)
+{
+    fp_assert(isObject(), "JsonValue: replace on a non-object");
+    for (auto &[name, value] : obj_) {
+        if (name == key) {
+            value = std::move(v);
+            return;
+        }
+    }
+    fp_panic("JsonValue: no member '%s' to replace", key.c_str());
+}
+
 std::size_t
 jsonLineOf(const std::string &text, std::size_t offset)
 {
@@ -487,6 +536,13 @@ JsonValue::asNumber() const
 {
     fp_assert(type_ == Type::number, "JsonValue: not a number");
     return num_;
+}
+
+bool
+JsonValue::isUint64() const
+{
+    return isNumber() && num_ >= 0.0 && num_ < 18446744073709551616.0 &&
+           num_ == static_cast<double>(static_cast<std::uint64_t>(num_));
 }
 
 std::uint64_t

@@ -86,6 +86,9 @@ class JsonValue
     bool isNumber() const { return type_ == Type::number; }
     bool isString() const { return type_ == Type::string; }
     bool isBool() const { return type_ == Type::boolean; }
+    /** A non-negative integral number below 2^64, so asUint64() is
+     *  exact. */
+    bool isUint64() const;
 
     /** Typed accessors; panic on type mismatch (test/tool code). */
     bool asBool() const;
@@ -120,6 +123,16 @@ class JsonValue
      * loud failure is the right behaviour.
      */
     static JsonValue parse(const std::string &text);
+
+    /** Values built outside the parser (sourceOffset() is 0). */
+    static JsonValue makeBool(bool v);
+    static JsonValue makeNumber(double v);
+    static JsonValue makeString(std::string v);
+    static JsonValue makeArray(std::vector<JsonValue> items);
+
+    /** Replace the value of object member @p key; panics when this
+     *  is not an object or has no such member. */
+    void replace(const std::string &key, JsonValue v);
 
   private:
     Type type_ = Type::null;

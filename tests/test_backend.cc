@@ -29,7 +29,7 @@ namespace
 {
 
 /**
- * The `bench_fig* --quick` Fig-10 "merge q=64 / Mix3" point, captured
+ * The `fp_bench fig10 --quick` "merge q=64 / Mix3" point, captured
  * from the tree immediately before the MemoryBackend seam was
  * introduced (controller wired straight to dram::DramSystem &). The
  * DRAM adapter must reproduce it byte for byte: same events in the

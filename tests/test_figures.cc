@@ -130,7 +130,7 @@ TEST(FigureShapes, Fig17bAdvantageDilutesWithDepth)
 TEST(FigureShapes, ReplacingWindowExists)
 {
     // A request arriving shortly after another's read phase must be
-    // able to replace the committed dummy (bench_replacing's knee).
+    // able to replace the committed dummy (the replacing spec's knee).
     auto cfg = figConfig(250);
     auto with = runProfiles(withMergeOnly(cfg, 16), heavyMix());
     EXPECT_GT(with.dummyReplacements + with.realAccesses, 0u);

@@ -226,7 +226,7 @@ TEST(ForkpathPolicy, ControllerReportsTheDefaultPolicy)
 }
 
 // ---------------------------------------------------------------------------
-// Sim-layer flag plumbing.
+// Sim-layer flag plumbing (the configuration key table).
 
 TEST(PolicyFlags, CliSelectsPolicyAndBatchSize)
 {
@@ -234,7 +234,7 @@ TEST(PolicyFlags, CliSelectsPolicyAndBatchSize)
                           "--batch-size=5"};
     CliArgs args(3, const_cast<char **>(argv));
     sim::SimConfig cfg = sim::SimConfig::paperDefault();
-    sim::applyPolicyFlags(cfg, args);
+    sim::applyOverrides(cfg, sim::flagOverrides(args));
     EXPECT_EQ(cfg.controller.policy, core::PolicyKind::batched);
     EXPECT_EQ(cfg.controller.batchSize, 5u);
 }
@@ -246,7 +246,7 @@ TEST(PolicyFlags, AbsentFlagsLeaveTheConfigUntouched)
     sim::SimConfig cfg = sim::SimConfig::paperDefault();
     const auto before_policy = cfg.controller.policy;
     const auto before_batch = cfg.controller.batchSize;
-    sim::applyPolicyFlags(cfg, args);
+    sim::applyOverrides(cfg, sim::flagOverrides(args));
     EXPECT_EQ(cfg.controller.policy, before_policy);
     EXPECT_EQ(cfg.controller.batchSize, before_batch);
 }

@@ -3,15 +3,18 @@
  * Experiment-spec runtime tests: parse round-trips, grid expansion,
  * spec-hash stability, parse-time validation (malformed specs die
  * with a file:line diagnostic), provenance stamping into RunResult
- * JSON, byte-identical stdout across --jobs, and every committed
- * spec under experiments/ parsing cleanly.
+ * JSON, byte-identical stdout across --jobs, every committed spec
+ * under experiments/ parsing cleanly, and the one configuration key
+ * table behaving alike for spec overrides and command-line flags.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/access_policy.hh"
 #include "sim/scenario.hh"
 #include "sim/spec_parse.hh"
 #include "util/cli.hh"
@@ -73,7 +76,7 @@ TEST(SpecParse, RoundTripBaseOverrides)
 
     // Applying the base overrides reproduces the hand-built config.
     SimConfig cfg = SimConfig::paperDefault();
-    applySpecOverrides(cfg, spec.base, spec.source, spec.params);
+    applyOverrides(cfg, spec.base, &spec.source);
     SimConfig want = withMergeOnly(SimConfig::paperDefault(), 8);
     want.requestsPerCore = 40;
     want.controller.oram.leafLevel = 10;
@@ -231,12 +234,244 @@ TEST(Scenario, ContextHonorsCliOverridesAndQuick)
         EXPECT_EQ(ctx.base.controller.oram.leafLevel, 14u);
     }
     {
+        // --quick wins over --requests, whatever the flag order.
+        Args args({"--requests=77", "--quick"});
+        auto cli = args.cli();
+        ScenarioContext ctx(spec, cli);
+        EXPECT_EQ(ctx.base.requestsPerCore, 150u);
+    }
+    {
         Args args({"--mixes=Mix1,Mix2"});
         auto cli = args.cli();
         ScenarioContext ctx(spec, cli);
         EXPECT_EQ(ctx.mixes,
                   (std::vector<std::string>{"Mix1", "Mix2"}));
     }
+}
+
+TEST(Scenario, PolicyFlagsAreForcedOntoEveryPoint)
+{
+    auto spec = parseSpecText(kSmallSpec, "unit.json");
+    Args args({"--batch-size=4", "--policy=batched"});
+    auto cli = args.cli();
+    ScenarioContext ctx(spec, cli);
+    EXPECT_EQ(ctx.policyOverride, "batched");
+    EXPECT_EQ(ctx.batchSizeOverride, 4u);
+    EXPECT_EQ(ctx.base.controller.policy, core::PolicyKind::batched);
+    EXPECT_EQ(ctx.base.controller.batchSize, 4u);
+    // A series transform rebuilds the controller; applyPolicy puts
+    // the flags back.
+    const SimConfig point =
+        ctx.applyPolicy(withTraditional(ctx.base));
+    EXPECT_EQ(point.controller.policy, core::PolicyKind::batched);
+    EXPECT_EQ(point.controller.batchSize, 4u);
+}
+
+TEST(Scenario, FlagsOverrideSpecParams)
+{
+    auto spec = parseSpecText(R"({
+      "name": "p", "base": {"requests": 40},
+      "params": {"trials": 200, "leaf-level": 16, "mix": "Mix3",
+                 "alpha": 0.5, "on": false, "sizes": [1, 2]},
+      "output": {"out": "spec.json"}
+    })");
+    {
+        Args args({"--trials=20", "--mix=7", "--alpha=2",
+                   "--on", "--out=x.json"});
+        auto cli = args.cli();
+        ScenarioContext ctx(spec, cli);
+        EXPECT_EQ(ctx.spec.paramUint("trials"), 20u);
+        EXPECT_EQ(ctx.spec.paramStr("mix", ""), "7");
+        EXPECT_DOUBLE_EQ(ctx.spec.paramNum("alpha", 0.0), 2.0);
+        EXPECT_TRUE(ctx.spec.paramNode("on").asBool());
+        EXPECT_EQ(ctx.out, "x.json");
+        // The caller's spec is untouched.
+        EXPECT_EQ(spec.paramUint("trials"), 200u);
+    }
+    {
+        // A flag naming a configuration key and a param sets both.
+        Args args({"--leaf-level=12"});
+        auto cli = args.cli();
+        ScenarioContext ctx(spec, cli);
+        EXPECT_EQ(ctx.base.controller.oram.leafLevel, 12u);
+        EXPECT_EQ(ctx.spec.paramUint("leaf-level"), 12u);
+        EXPECT_EQ(ctx.out, "spec.json");
+    }
+    // A malformed param flag is reported against the flag when the
+    // scenario reads it.
+    Args args({"--trials=2.5", "--sizes=3"});
+    auto cli = args.cli();
+    ScenarioContext ctx(spec, cli);
+    EXPECT_EXIT(ctx.spec.paramUint("trials"),
+                testing::ExitedWithCode(1),
+                "--trials=2.5: expected a non-negative integer");
+    EXPECT_EXIT(ctx.spec.paramUintList("sizes"),
+                testing::ExitedWithCode(1), "--sizes=3: expected");
+}
+
+TEST(ScenarioFlagsDeath, BadFlagsDieNamingTheFlag)
+{
+    auto spec = parseSpecText(kSmallSpec, "unit.json");
+    // Every case must exit 1 through fp_fatal: a panic would abort
+    // (exit 134) and fail ExitedWithCode(1).
+    const struct
+    {
+        const char *flag;
+        const char *message;
+    } cases[] = {
+        {"--shard=4", "unknown flag --shard .*known flags: .*--shards,"},
+        {"--shards=4x", "--shards=4x: expected an integer"},
+        {"--shards=2000", "--shards=2000: value 2000 out of range"},
+        {"--fault-loss-rate=abc", "--fault-loss-rate=abc: expected a "
+                                  "number"},
+        {"--net-window=2.5", "--net-window=2.5: expected an integer"},
+        {"--fault-seed=-1", "--fault-seed=-1: expected an integer"},
+        // 2^53 + 1 has no exact double: rejected, not rounded.
+        {"--fault-seed=9007199254740993", "--fault-seed=9007199254740993: "
+                                          "expected an integer"},
+        {"--stats-interval=0", "--stats-interval=0: value 0 out of "
+                               "range"},
+        {"--fault-outage=5:1", "--fault-outage=5:1: outage window "
+                               "needs 0 <= T0 < T1"},
+        {"--batch-size=4", "--batch-size=4: batch-size requires the "
+                           "batched policy"},
+    };
+    for (const auto &c : cases) {
+        Args args({c.flag});
+        auto cli = args.cli();
+        auto build = [&] { ScenarioContext ctx(spec, cli); };
+        EXPECT_EXIT(build(), testing::ExitedWithCode(1), c.message)
+            << c.flag;
+    }
+}
+
+/** One valid value of a configuration key, as a spec writes it (JSON)
+ *  and as a flag does. */
+struct KeySample
+{
+    const char *key;
+    const char *json;
+    const char *flag;
+};
+
+// Values differ from the start config below, so each one shows.
+constexpr KeySample kKeySamples[] = {
+    {"requests", "77", "77"},
+    {"leaf-level", "12", "12"},
+    {"cores", "2", "2"},
+    {"max-outstanding", "3", "3"},
+    {"cpu-period-ticks", "250", "250"},
+    {"seed", "9", "9"},
+    {"shared-address-space", "true", "true"},
+    {"variant", "\"treetop\"", "treetop"},
+    {"policy", "\"forkpath\"", "forkpath"},
+    {"queue", "16", "16"},
+    {"cache", "\"treetop\"", "treetop"},
+    {"cache-bytes", "4096", "4096"},
+    {"dummy-policy", "\"realFirst\"", "realFirst"},
+    {"aging-threshold", "7", "7"},
+    {"enable-replacing", "true", "true"},
+    {"batch-size", "5", "5"},
+    {"insecure", "true", "true"},
+    {"layout", "\"linear\"", "linear"},
+    {"recursion-depth", "2", "2"},
+    {"recursion-fanout", "16", "16"},
+    {"plb-entries", "4096", "4096"},
+    {"periodic-interval-ticks", "1300000", "1300000"},
+    {"integrity", "true", "true"},
+    {"payload-bytes", "64", "64"},
+    {"stash-capacity", "300", "300"},
+    {"oram-seed", "11", "11"},
+    {"channels", "4", "4"},
+    {"page-policy", "\"closed\"", "closed"},
+    {"backend", "\"net\"", "net"},
+    {"net-latency-us", "2.5", "2.5"},
+    {"net-gbps", "40", "40"},
+    {"net-window", "8", "8"},
+    {"shards", "4", "4"},
+    {"shard-window", "4", "4"},
+    {"fault-loss-rate", "0.02", "0.02"},
+    {"fault-error-rate", "0.01", "0.01"},
+    {"fault-spike-rate", "0.05", "0.05"},
+    {"fault-spike-us", "200", "200"},
+    {"fault-outage", "[0, 1000000]", "0:1000000"},
+    {"fault-seed", "7", "7"},
+    {"retry-timeout-us", "20", "20"},
+    {"retry-max", "0", "0"},
+    {"retry-backoff", "[50, 400]", "50:400"},
+    {"retry-backoff", "5000", "5000"},
+    {"trace-out", "\"t.json\"", "t.json"},
+    // A flag's text is its string even when it reads as a number.
+    {"trace-out", "\"1\"", "1"},
+    {"trace-level", "\"full\"", "full"},
+    {"trace-level", "\"full\"", "2"},
+    {"stats-out", "\"s.jsonl\"", "s.jsonl"},
+    {"stats-interval", "5000000", "5000000"},
+    {"profile-requests", "true", "true"},
+    {"profile-out", "\"p.json\"", "p.json"},
+};
+
+TEST(ConfigKeys, SpecAndFlagPathsAgreeOnEveryKey)
+{
+    // batch-size needs the batched policy and cache-bytes a cache;
+    // the batched preset has both.
+    const SimConfig start =
+        withPolicy(SimConfig::paperDefault(), core::PolicyKind::batched);
+    std::set<std::string> covered;
+    for (const KeySample &s : kKeySamples) {
+        SCOPED_TRACE(s.key);
+        covered.insert(s.key);
+
+        SpecSource src;
+        src.text = s.json;
+        SimConfig by_spec = start;
+        applyOverrides(by_spec,
+                       {ConfigOverride{s.key, JsonValue::parse(s.json),
+                                       {}}},
+                       &src);
+
+        Args args({std::string("--") + s.key + "=" + s.flag});
+        auto cli = args.cli();
+        const auto flags = flagOverrides(cli);
+        ASSERT_EQ(flags.size(), 1u);
+        SimConfig by_flag = start;
+        applyOverrides(by_flag, flags);
+
+        EXPECT_TRUE(by_spec == by_flag);
+        EXPECT_FALSE(by_spec == start);
+    }
+    const auto keys = configKeys();
+    EXPECT_EQ(covered, std::set<std::string>(keys.begin(), keys.end()));
+}
+
+TEST(ConfigKeys, SpikeMagnitudeImpliesARate)
+{
+    SimConfig cfg = SimConfig::paperDefault();
+    Args args({"--fault-spike-us", "200"});
+    auto cli = args.cli();
+    applyOverrides(cfg, flagOverrides(cli));
+    EXPECT_DOUBLE_EQ(cfg.faults.spikeUs, 200.0);
+    EXPECT_DOUBLE_EQ(cfg.faults.spikeRate, 0.01);
+
+    SimConfig given = SimConfig::paperDefault();
+    Args both({"--fault-spike-us=200", "--fault-spike-rate=0.2"});
+    auto cli_both = both.cli();
+    applyOverrides(given, flagOverrides(cli_both));
+    EXPECT_DOUBLE_EQ(given.faults.spikeRate, 0.2);
+}
+
+TEST(ConfigKeys, FlagValuesTakeTheSpecForms)
+{
+    EXPECT_TRUE(flagValue("true").isBool());
+    EXPECT_DOUBLE_EQ(flagValue("-2.5e1").asNumber(), -25.0);
+    const JsonValue pair = flagValue("0:1e6");
+    ASSERT_TRUE(pair.isArray());
+    EXPECT_DOUBLE_EQ(pair.at(std::size_t{1}).asNumber(), 1e6);
+    EXPECT_DOUBLE_EQ(flagValue("9007199254740991").asNumber(),
+                     9007199254740991.0);
+    for (const char *text : {"4x", "0x10", "inf", "nan", " 5", "1:",
+                             "a:b", "", "9007199254740993"})
+        EXPECT_TRUE(flagValue(text).isString()) << text;
 }
 
 TEST(Scenario, CommittedSpecsParseAndCoverScenarios)

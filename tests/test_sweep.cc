@@ -47,7 +47,7 @@ twelvePoints()
         auto cfg = i % 2 ? withMergeOnly(smallConfig(100 + i), 8)
                          : withTraditional(smallConfig(100 + i));
         points.push_back(pointFromProfiles(
-            "p" + std::to_string(i), cfg, twoCoreProfiles()));
+            strprintf("p%u", i), cfg, twoCoreProfiles()));
     }
     return points;
 }

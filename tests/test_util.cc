@@ -1024,11 +1024,12 @@ TEST(Cli, ParsesForms)
     // A bare boolean flag must be last or followed by another flag:
     // `--flag word` is by design parsed as flag=word.
     const char *argv[] = {"prog", "--a=1", "--b", "2", "pos1",
-                          "--flag"};
-    CliArgs args(6, const_cast<char **>(argv));
+                          "--quiet=off", "--flag"};
+    CliArgs args(7, const_cast<char **>(argv));
     EXPECT_EQ(args.getInt("a", 0), 1);
     EXPECT_EQ(args.getInt("b", 0), 2);
     EXPECT_TRUE(args.getBool("flag"));
+    EXPECT_FALSE(args.getBool("quiet", true));
     EXPECT_FALSE(args.getBool("missing"));
     EXPECT_EQ(args.getString("missing", "d"), "d");
     ASSERT_EQ(args.positional().size(), 1u);
@@ -1037,9 +1038,46 @@ TEST(Cli, ParsesForms)
 
 TEST(Cli, Doubles)
 {
-    const char *argv[] = {"prog", "--x=2.5"};
-    CliArgs args(2, const_cast<char **>(argv));
+    const char *argv[] = {"prog", "--x=2.5", "--h=0x10", "--e=1e3"};
+    CliArgs args(4, const_cast<char **>(argv));
     EXPECT_DOUBLE_EQ(args.getDouble("x", 0.0), 2.5);
+    EXPECT_EQ(args.getInt("h", 0), 16);
+    EXPECT_DOUBLE_EQ(args.getDouble("e", 0.0), 1000.0);
+}
+
+TEST(Cli, NamesKeepCommandLineOrder)
+{
+    const char *argv[] = {"prog", "--b=1", "--a", "2", "--b=3"};
+    CliArgs args(5, const_cast<char **>(argv));
+    EXPECT_EQ(args.names(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(args.getInt("b", 0), 3);
+}
+
+TEST(CliDeath, MalformedValuesNameTheFlag)
+{
+    const char *argv[] = {"prog",      "--jobs=abc", "--min-ms=2x",
+                          "--n=",      "--x=1.5e",   "--inf=inf",
+                          "--big=99999999999999999999", "--csv=ture",
+                          "--flag"};
+    CliArgs args(9, const_cast<char **>(argv));
+    EXPECT_EXIT(args.getInt("jobs", 0), testing::ExitedWithCode(1),
+                "--jobs expects an integer .got 'abc'.");
+    EXPECT_EXIT(args.getDouble("min-ms", 0.0),
+                testing::ExitedWithCode(1),
+                "--min-ms expects a number .got '2x'.");
+    EXPECT_EXIT(args.getInt("n", 0), testing::ExitedWithCode(1),
+                "--n expects an integer");
+    EXPECT_EXIT(args.getDouble("x", 0.0), testing::ExitedWithCode(1),
+                "--x expects a number");
+    EXPECT_EXIT(args.getDouble("inf", 0.0), testing::ExitedWithCode(1),
+                "--inf expects a number");
+    EXPECT_EXIT(args.getInt("big", 0), testing::ExitedWithCode(1),
+                "--big expects an integer");
+    // A bare flag reads "true", which is no number either.
+    EXPECT_EXIT(args.getInt("flag", 0), testing::ExitedWithCode(1),
+                "--flag expects an integer");
+    EXPECT_EXIT(args.getBool("csv"), testing::ExitedWithCode(1),
+                "--csv expects true or false .got 'ture'.");
 }
 
 } // anonymous namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bench-baseline regression gate (stdlib only; CI-friendly).
 
-Runs the pinned smoke benchmark (bench/bench_smoke.cc), which writes
-BENCH_smoke.json, and compares every point's headline metrics against
+Runs the pinned smoke spec (`fp_bench smoke`, experiments/smoke.json),
+which writes BENCH_smoke.json, and compares every point's headline metrics against
 the committed baseline file. The simulator is deterministic, so on an
 unchanged tree every metric matches the baseline exactly; the
 threshold only tolerates small *intentional* drift (e.g. a timing-
@@ -63,7 +63,7 @@ def load(path, what):
 
 
 def run_bench(bench, out, jobs):
-    cmd = [bench, "--csv", f"--out={out}", f"--jobs={jobs}"]
+    cmd = [bench, "smoke", "--csv", f"--out={out}", f"--jobs={jobs}"]
     print("bench_baseline: running:", " ".join(cmd))
     proc = subprocess.run(cmd)
     if proc.returncode != 0:
@@ -102,8 +102,8 @@ def compare(current, baseline, threshold_pct):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bench", default="build/bench/bench_smoke",
-                    help="bench_smoke binary (default %(default)s)")
+    ap.add_argument("--bench", default="build/bench/fp_bench",
+                    help="fp_bench binary (default %(default)s)")
     ap.add_argument("--baseline",
                     default="tools/baselines/BENCH_smoke.baseline.json",
                     help="committed baseline (default %(default)s)")

@@ -5,7 +5,7 @@ Each bench prints one or more CSV tables when run with --csv; pipe a
 bench into a file and point this script at it to get matplotlib
 figures mirroring the paper's:
 
-    ./build/bench/bench_fig12 --csv > fig12.csv
+    ./build/bench/fp_bench fig12 --csv > fig12.csv
     tools/plot_results.py fig12.csv -o fig12.png
 
 The script is deliberately generic: the first column is treated as
@@ -18,7 +18,7 @@ With --stats the input is instead the JSON-lines file written by the
 time-series view of the run — stash occupancy, label-queue depth and
 per-channel DRAM queue depth over simulated time:
 
-    ./build/bench/bench_fig10 --quick --stats-out run.jsonl
+    ./build/bench/fp_bench fig10 --quick --stats-out run.jsonl
     tools/plot_results.py --stats run.jsonl -o run.png
 
 Use --fields to plot a custom comma-separated set of stat keys.

@@ -8,7 +8,7 @@ produces and auto-detects which one it was given:
     (schema "forkpath-profile-v1"),
   - a RunResult JSON containing a "profile" block
     (a run with --profile-requests),
-  - a smoke-bench document written by bench_smoke --out
+  - a smoke-bench document written by fp_bench smoke --out
     (schema "forkpath-bench-smoke-v1"; renders every point).
 
     tools/report.py BENCH_smoke.json
