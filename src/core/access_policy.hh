@@ -124,7 +124,7 @@ std::vector<std::string> accessPolicyNames();
  * leaving the ORAM geometry and every structural/timing knob alone.
  * This is the one construction path behind
  * ControllerParams::traditional()/forkPath(), the sim::with*
- * variant helpers and the --policy CLI flag.
+ * helpers and the `policy` and `variant` configuration keys.
  */
 void applyPolicyPreset(ControllerParams &params, PolicyKind kind);
 

@@ -164,9 +164,8 @@ ExperimentSpec::paramNode(const std::string &key) const
 
 // --- grid / point expansion ----------------------------------------------
 
-std::vector<SweepPoint>
-expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
-                 const std::vector<std::string> &mixes)
+std::vector<SpecConfig>
+expandSpecConfigs(const ExperimentSpec &spec, const SimConfig &base)
 {
     // Explicit points; a spec with none gets a single anonymous point
     // so a pure-grid (or pure-mix) spec still expands.
@@ -207,8 +206,8 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
         return name;
     };
 
-    std::vector<SweepPoint> out;
-    out.reserve(points.size() * combos.size() * mixes.size());
+    std::vector<SpecConfig> out;
+    out.reserve(points.size() * combos.size());
     for (const SpecPoint &point : points) {
         for (const auto &combo : combos) {
             SimConfig cfg = base;
@@ -218,16 +217,27 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
             std::string name = point.name;
             if (!combo.empty())
                 name += (name.empty() ? "" : "/") + comboName(combo);
+            out.push_back(
+                SpecConfig{std::move(name), point.mix, std::move(cfg)});
+        }
+    }
+    return out;
+}
 
-            if (!point.mix.empty()) {
-                out.push_back(pointFromMix(name, cfg, point.mix));
-                continue;
-            }
-            for (const std::string &mix : mixes) {
-                const std::string full =
-                    mixes.size() > 1 ? mix + "/" + name : name;
-                out.push_back(pointFromMix(full, cfg, mix));
-            }
+std::vector<SweepPoint>
+expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
+                 const std::vector<std::string> &mixes)
+{
+    std::vector<SweepPoint> out;
+    for (const SpecConfig &sc : expandSpecConfigs(spec, base)) {
+        if (!sc.mix.empty()) {
+            out.push_back(pointFromMix(sc.name, sc.cfg, sc.mix));
+            continue;
+        }
+        for (const std::string &mix : mixes) {
+            const std::string full =
+                mixes.size() > 1 ? mix + "/" + sc.name : sc.name;
+            out.push_back(pointFromMix(full, sc.cfg, mix));
         }
     }
     return out;
@@ -304,6 +314,17 @@ ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
 
     csv = args.getBool("csv");
     sweepOpt = sweepOptionsFromArgs(args);
+    // Every point's System opens these paths with "wb", so points on
+    // several jobs would race on one file.
+    const ObsConfig &obs = base.obs;
+    if ((obs.traceEnabled() || obs.statsEnabled() ||
+         !obs.profileOut.empty()) &&
+        (sweepOpt.jobs ? sweepOpt.jobs : SweepRunner::hardwareJobs()) >
+            1) {
+        fp_warn("every point writes the same trace-out, stats-out or "
+                "profile-out file: running the points on one job");
+        sweepOpt.jobs = 1;
+    }
     out = args.getString("out", spec.defaultOut);
 
     for (const ConfigOverride &ov : flags) {
@@ -371,9 +392,10 @@ ScenarioContext::run(std::vector<SweepPoint> points) const
 std::vector<SweepOutcome>
 ScenarioContext::runRaw(std::vector<SweepPoint> points) const
 {
-    // --policy/--batch-size override every point's per-series choice
-    // (series transforms rebuild the controller config after the base
-    // was built, so the flag must be re-applied per point).
+    // --policy/--batch-size override every point's per-series choice:
+    // a `variant` key or a sim::with* series transform sets the policy
+    // again after the base was built, so the flags are re-applied per
+    // point.
     if (!policyOverride.empty() || batchSizeOverride > 0) {
         for (SweepPoint &p : points) {
             if (p.cfg.insecure)

@@ -133,11 +133,30 @@ struct ExperimentSpec
     const JsonValue &paramNode(const std::string &key) const;
 };
 
+/** One configuration a spec produces, before the mix fan-out. */
+struct SpecConfig
+{
+    std::string name;
+    std::string mix; //!< The point's mix pin; empty when unpinned.
+    SimConfig cfg;
+};
+
 /**
- * Expand the spec's explicit points and grid cross-product against
- * @p base, one SweepPoint per (config, mix) pair. Grid axes nest
- * rightmost-fastest; point names are "<mix>/<name>" when more than
- * one mix is in play, matching the legacy bench naming.
+ * The one point expander: the spec's explicit points (one anonymous
+ * "base" point when it has none) crossed with its grid. Each config
+ * is @p base, then the point's overrides, then the grid
+ * combination's; grid axes nest rightmost-fastest and a combination
+ * is named "<point>/<key>=<value>,...". Parse-time validation and
+ * expandSpecPoints both call this.
+ */
+std::vector<SpecConfig> expandSpecConfigs(const ExperimentSpec &spec,
+                                          const SimConfig &base);
+
+/**
+ * expandSpecConfigs, one SweepPoint per (config, mix) pair: a pinned
+ * point runs its own mix, any other every mix of @p mixes. Point
+ * names are "<mix>/<name>" when more than one mix is in play,
+ * matching the legacy bench naming.
  */
 std::vector<SweepPoint>
 expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
@@ -164,7 +183,10 @@ class ScenarioContext
      * spec's `base`, the configuration-key flags (one more override
      * set, conflict-checked like a spec's), then --quick (150
      * requests, L=14). --policy/--batch-size are also forced again
-     * onto every non-insecure point (applyPolicy).
+     * onto every non-insecure point (applyPolicy). When the base
+     * config writes a trace-out, stats-out or profile-out file, the
+     * points run on one job (one stderr note says so), since every
+     * point opens the same path.
      */
     ScenarioContext(const ExperimentSpec &spec, const CliArgs &args);
 

@@ -29,7 +29,8 @@ SimConfig::paperDefault()
     cfg.maxOutstanding = 16;
     cfg.cpuPeriodTicks = 500;
 
-    cfg.controller = core::ControllerParams::traditional();
+    core::applyPolicyPreset(cfg.controller,
+                            core::PolicyKind::traditional);
     cfg.controller.oram.leafLevel = 24; // 4 GB data / 64 B / 50% / Z=4
     cfg.controller.oram.z = 4;
     cfg.controller.oram.payloadBytes = 0; // timing runs carry no data
@@ -84,22 +85,15 @@ withPolicyName(SimConfig cfg, const std::string &name)
 SimConfig
 withTraditional(SimConfig cfg)
 {
-    auto oram = cfg.controller.oram;
-    cfg.controller = core::ControllerParams::traditional();
-    cfg.controller.oram = oram;
-    cfg.insecure = false;
-    return cfg;
+    return withPolicy(std::move(cfg), core::PolicyKind::traditional);
 }
 
 SimConfig
 withMergeOnly(SimConfig cfg, unsigned queue_size)
 {
-    auto oram = cfg.controller.oram;
-    cfg.controller = core::ControllerParams::forkPath();
-    cfg.controller.oram = oram;
+    cfg = withPolicy(std::move(cfg), core::PolicyKind::forkpath);
     cfg.controller.labelQueueSize = queue_size;
     cfg.controller.cachePolicy = core::CachePolicy::none;
-    cfg.insecure = false;
     return cfg;
 }
 
@@ -224,6 +218,34 @@ struct OvCtx
 
 using OvHandler = void (*)(const OvCtx &);
 
+const std::map<std::string, OvHandler> &overrideTable();
+
+/** What each `variant` value stands for: the keys it sets, applied
+ *  in order through overrideTable(). A variant writes only these
+ *  fields, so keys set before it survive. */
+const std::map<std::string, std::vector<ConfigOverride>> &
+variantPresets()
+{
+    auto str = [](const char *key, const char *value) {
+        return ConfigOverride{key, JsonValue::makeString(value), {}};
+    };
+    const ConfigOverride one_mib{
+        "cache-bytes", JsonValue::makeNumber(1 << 20), {}};
+    static const std::map<std::string, std::vector<ConfigOverride>>
+        presets = {
+            {"traditional", {str("policy", "traditional")}},
+            {"merge", {str("policy", "forkpath"), str("cache", "none")}},
+            {"mac",
+             {str("policy", "forkpath"), str("cache", "mac"), one_mib}},
+            {"treetop",
+             {str("policy", "forkpath"), str("cache", "treetop"),
+              one_mib}},
+            {"insecure",
+             {ConfigOverride{"insecure", JsonValue::makeBool(true), {}}}},
+        };
+    return presets;
+}
+
 // docs/ARCHITECTURE.md ("Authoring experiments") documents the keys;
 // tests/test_scenario.cc sets every key through a spec and a flag.
 const std::map<std::string, OvHandler> &
@@ -266,25 +288,14 @@ overrideTable()
         // --- controller variant / scheduling -----------------------------
         {"variant",
          [](const OvCtx &c) {
-             // The sim::with* helpers rebuild the controller, so the
-             // variant key must precede queue/cache refinements; the
-             // overrides apply in order, making that natural.
              const std::string v = c.str();
-             if (v == "traditional")
-                 c.cfg = withTraditional(std::move(c.cfg));
-             else if (v == "merge")
-                 c.cfg = withMergeOnly(std::move(c.cfg));
-             else if (v == "mac")
-                 c.cfg = withMergeMac(std::move(c.cfg),
-                                      std::uint64_t{1} << 20);
-             else if (v == "treetop")
-                 c.cfg = withMergeTreetop(std::move(c.cfg),
-                                          std::uint64_t{1} << 20);
-             else if (v == "insecure")
-                 c.cfg = withInsecure(std::move(c.cfg));
-             else
+             const auto &presets = variantPresets();
+             auto it = presets.find(v);
+             if (it == presets.end())
                  c.fail("unknown variant '" + v +
                         "' (traditional|merge|mac|treetop|insecure)");
+             for (const ConfigOverride &ov : it->second)
+                 overrideTable().at(ov.key)(OvCtx{c.cfg, ov, c.spec});
          }},
         {"policy",
          [](const OvCtx &c) {

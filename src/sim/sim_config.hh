@@ -226,13 +226,27 @@ JsonValue flagValue(const std::string &text);
  *  command-line order, with their values as flagValue gives them. */
 std::vector<ConfigOverride> flagOverrides(const CliArgs &args);
 
-/** Select a scheduling policy by kind (core registry preset). */
+/**
+ * Select a scheduling policy by kind: core::applyPolicyPreset writes
+ * policy, enableDummyReplacing, labelQueueSize and cachePolicy, and
+ * the insecure flag is cleared. Every other field is kept.
+ */
 SimConfig withPolicy(SimConfig cfg, core::PolicyKind kind);
 
 /** Select a scheduling policy by registry name (fatal if unknown). */
 SimConfig withPolicyName(SimConfig cfg, const std::string &name);
 
-/** Controller variants used across the figures. */
+/**
+ * The controller variants of the figures, as field-wise updates over
+ * withPolicy: each writes the fields named here and keeps the rest
+ * (geometry, layout, recursion, integrity, timing, ...).
+ *  - withTraditional: the traditional policy preset.
+ *  - withMergeOnly: the forkpath preset, then @p queue_size and no
+ *    cache.
+ *  - withMergeMac / withMergeTreetop: withMergeOnly, then that cache
+ *    with @p cache_bytes.
+ *  - withInsecure: sets only the insecure flag.
+ */
 SimConfig withTraditional(SimConfig cfg);
 SimConfig withMergeOnly(SimConfig cfg, unsigned queue_size = 64);
 SimConfig withMergeMac(SimConfig cfg, std::uint64_t cache_bytes,

@@ -138,41 +138,17 @@ validateMixes(const SpecSource &src, const JsonValue &node,
 }
 
 /**
- * Front-loaded validation: apply every override set the spec can ever
- * produce — base, each point, each grid combination, and their
- * compositions — to scratch configs, so range errors and conflicts
- * are fatal here (with spec file/line) and never mid-sweep.
+ * Front-loaded validation: expand every configuration the spec can
+ * produce (base, then each point, then each grid combination), so
+ * range errors and conflicts are fatal here (with spec file/line)
+ * and never mid-sweep.
  */
 void
 validateOverrides(const ExperimentSpec &spec)
 {
     SimConfig base = SimConfig::paperDefault();
     applyOverrides(base, spec.base, &spec.source);
-
-    std::vector<std::vector<ConfigOverride>> combos{{}};
-    for (const GridAxis &axis : spec.grid) {
-        std::vector<std::vector<ConfigOverride>> next;
-        next.reserve(combos.size() * axis.values.size());
-        for (const auto &combo : combos) {
-            for (const JsonValue &v : axis.values) {
-                auto extended = combo;
-                extended.push_back(ConfigOverride{axis.key, v, {}});
-                next.push_back(std::move(extended));
-            }
-        }
-        combos = std::move(next);
-    }
-
-    std::vector<SpecPoint> points = spec.points;
-    if (points.empty())
-        points.push_back(SpecPoint{"base", "", {}});
-    for (const SpecPoint &point : points) {
-        for (const auto &combo : combos) {
-            SimConfig cfg = base;
-            applyOverrides(cfg, point.overrides, &spec.source);
-            applyOverrides(cfg, combo, &spec.source);
-        }
-    }
+    expandSpecConfigs(spec, base);
 }
 
 } // namespace

@@ -25,7 +25,7 @@
  *                "trace": false }      // no Chrome trace to validate
  *   }
  *
- * Validation is strict and front-loaded (the satellite requirement):
+ * Validation is strict and front-loaded:
  * unknown keys at any level, type mismatches, out-of-range values and
  * conflicting overrides (in `base`, every `points[].set`, and every
  * grid combination) are fatal at parse time with the spec file and

@@ -78,8 +78,6 @@ class System
     core::ShardedOram *sharded() { return sharded_.get(); }
     /** Null unless cfg.obs.traceOut was set. */
     obs::Tracer *tracer() { return tracer_.get(); }
-    /** Null unless cfg.obs.statsOut was set. */
-    obs::IntervalStats *intervalStats() { return intervalStats_.get(); }
     /** This system's statistics registry (instance-scoped so several
      *  Systems can coexist, e.g. on sweep worker threads). */
     const StatRegistry &statRegistry() const { return registry_; }

@@ -39,8 +39,6 @@ class TextTable
     /** Render as CSV (RFC-4180-style quoting), header first. */
     void printCsv(std::ostream &os) const;
 
-    std::size_t numRows() const { return rows_.size(); }
-
   private:
     std::string title_;
     std::vector<std::string> header_;

@@ -116,8 +116,6 @@ CoreModel::onResponse(Tick issue_tick)
     missLatency_.sample(fp::ticksToNs(eq_.now() - issue_tick));
     if (done()) {
         finishTick_ = eq_.now();
-        if (onDone_)
-            onDone_();
         return;
     }
     tryIssue();

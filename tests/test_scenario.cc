@@ -3,14 +3,19 @@
  * Experiment-spec runtime tests: parse round-trips, grid expansion,
  * spec-hash stability, parse-time validation (malformed specs die
  * with a file:line diagnostic), provenance stamping into RunResult
- * JSON, byte-identical stdout across --jobs, every committed spec
- * under experiments/ parsing cleanly, and the one configuration key
- * table behaving alike for spec overrides and command-line flags.
+ * JSON, byte-identical stdout and file outputs across --jobs, every
+ * committed spec under experiments/ parsing cleanly, the one
+ * configuration key table behaving alike for spec overrides and
+ * command-line flags, and `variant` writing only the fields of its
+ * expansion, so controller flags survive it.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -259,12 +264,165 @@ TEST(Scenario, PolicyFlagsAreForcedOntoEveryPoint)
     EXPECT_EQ(ctx.batchSizeOverride, 4u);
     EXPECT_EQ(ctx.base.controller.policy, core::PolicyKind::batched);
     EXPECT_EQ(ctx.base.controller.batchSize, 4u);
-    // A series transform rebuilds the controller; applyPolicy puts
-    // the flags back.
+    // A series transform sets the policy again; applyPolicy puts the
+    // flags back.
     const SimConfig point =
         ctx.applyPolicy(withTraditional(ctx.base));
     EXPECT_EQ(point.controller.policy, core::PolicyKind::batched);
     EXPECT_EQ(point.controller.batchSize, 4u);
+}
+
+TEST(Scenario, ControllerFlagsSurviveVariantPoints)
+{
+    // Every smoke point sets `variant`; a flag must still reach each
+    // point as if it were applied after the point's own keys.
+    const auto spec =
+        parseSpecFile(std::string(FP_EXPERIMENTS_DIR) + "/smoke.json");
+    Args plain_args({});
+    auto plain_cli = plain_args.cli();
+    const ScenarioContext plain(spec, plain_cli);
+    const auto plain_points =
+        expandSpecPoints(plain.spec, plain.base, plain.mixes);
+    ASSERT_EQ(plain_points.size(), 5 * plain.mixes.size());
+
+    // One flag per controller field that no preset writes, each with
+    // a non-default value.
+    for (const char *flag :
+         {"--aging-threshold=9", "--dummy-policy=realFirst",
+          "--layout=linear", "--integrity=true",
+          "--periodic-interval-ticks=123456", "--plb-entries=64",
+          "--recursion-depth=2", "--recursion-fanout=16"}) {
+        SCOPED_TRACE(flag);
+        Args args({flag});
+        auto cli = args.cli();
+        const ScenarioContext ctx(spec, cli);
+        const auto points = expandSpecPoints(ctx.spec, ctx.base,
+                                             ctx.mixes);
+        ASSERT_EQ(points.size(), plain_points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE(points[i].name);
+            SimConfig want = plain_points[i].cfg;
+            applyOverrides(want, flagOverrides(cli));
+            EXPECT_TRUE(points[i].cfg == want);
+            EXPECT_FALSE(points[i].cfg == plain_points[i].cfg);
+        }
+    }
+}
+
+TEST(ConfigKeys, VariantIsShorthandForItsKeys)
+{
+    auto str = [](const char *key, const char *value) {
+        return ConfigOverride{key, JsonValue::makeString(value), {}};
+    };
+    const ConfigOverride one_mib{"cache-bytes",
+                                 JsonValue::makeNumber(1 << 20), {}};
+    const std::pair<const char *, std::vector<ConfigOverride>>
+        expansions[] = {
+            {"traditional", {str("policy", "traditional")}},
+            {"merge", {str("policy", "forkpath"), str("cache", "none")}},
+            {"mac",
+             {str("policy", "forkpath"), str("cache", "mac"), one_mib}},
+            {"treetop",
+             {str("policy", "forkpath"), str("cache", "treetop"),
+              one_mib}},
+            {"insecure",
+             {ConfigOverride{"insecure", JsonValue::makeBool(true),
+                             {}}}},
+        };
+
+    SimConfig tuned = SimConfig::paperDefault();
+    tuned.controller.agingThreshold = 9;
+    tuned.controller.dummyPolicy = core::DummySelectPolicy::realFirst;
+    tuned.controller.layout = dram::LayoutPolicy::linear;
+    tuned.controller.enableIntegrity = true;
+    tuned.controller.periodicIntervalTicks = 123456;
+    tuned.controller.plbEntries = 64;
+    tuned.controller.recursionDepth = 2;
+    tuned.controller.recursionFanout = 16;
+    tuned.controller.batchSize = 3;
+    tuned.controller.cacheBudgetBytes = 4096;
+    tuned.controller.labelQueueSize = 7;
+    tuned.controller.cachePolicy = core::CachePolicy::treetop;
+
+    for (const SimConfig &start : {SimConfig::paperDefault(), tuned}) {
+        for (const auto &[name, keys] : expansions) {
+            SCOPED_TRACE(name);
+            SimConfig by_variant = start;
+            applyOverrides(by_variant,
+                           {str("variant", name)});
+            SimConfig by_keys = start;
+            applyOverrides(by_keys, keys);
+            EXPECT_TRUE(by_variant == by_keys);
+            // The untouched controller fields keep their values.
+            EXPECT_EQ(by_variant.controller.layout,
+                      start.controller.layout);
+            EXPECT_EQ(by_variant.controller.recursionDepth,
+                      start.controller.recursionDepth);
+        }
+        // The sim::with* helpers are the same field-wise updates.
+        auto variant = [&](const char *name) {
+            SimConfig cfg = start;
+            applyOverrides(cfg, {str("variant", name)});
+            return cfg;
+        };
+        EXPECT_TRUE(withTraditional(start) == variant("traditional"));
+        EXPECT_TRUE(withMergeOnly(start) == variant("merge"));
+        EXPECT_TRUE(withMergeMac(start, 1 << 20) == variant("mac"));
+        EXPECT_TRUE(withMergeTreetop(start, 1 << 20) ==
+                    variant("treetop"));
+        EXPECT_TRUE(withInsecure(start) == variant("insecure"));
+    }
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Scenario, FileOutputsAreIdenticalAcrossJobs)
+{
+    // Every point writes the same trace and stats paths; with several
+    // jobs they would race, so the context runs them on one job.
+    auto spec = parseSpecText(kSmallSpec, "unit.json");
+    const std::string dir = testing::TempDir();
+    auto run = [&](const std::string &jobs, const std::string &tag) {
+        const std::string trace = dir + "fp_jobs_" + tag + ".json";
+        const std::string stats = dir + "fp_jobs_" + tag + ".jsonl";
+        Args args({"--jobs=" + jobs, "--trace-out=" + trace,
+                   "--trace-level=full", "--stats-out=" + stats,
+                   "--stats-interval=1000000", "--csv"});
+        auto cli = args.cli();
+        testing::internal::CaptureStdout();
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runSpec(spec, cli), 0);
+        testing::internal::GetCapturedStdout();
+        const std::string err = testing::internal::GetCapturedStderr();
+        return std::make_tuple(trace, stats, err);
+    };
+    const auto [trace1, stats1, err1] = run("1", "seq");
+    const auto [trace4, stats4, err4] = run("4", "par");
+    const std::string note = "running the points on one job";
+    EXPECT_EQ(err1.find(note), std::string::npos);
+    const auto at = err4.find(note);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(err4.find(note, at + 1), std::string::npos);
+
+    const std::string trace = readFile(trace1);
+    EXPECT_FALSE(trace.empty());
+    EXPECT_EQ(trace, readFile(trace4));
+    EXPECT_FALSE(readFile(stats1).empty());
+    EXPECT_EQ(readFile(stats1), readFile(stats4));
+
+#ifdef FP_VALIDATE_TRACE
+    const std::string cmd = std::string(FP_PYTHON) + " " +
+                            FP_VALIDATE_TRACE + " --trace " + trace4 +
+                            " --stats " + stats4 + " > /dev/null";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+#endif
+    for (const std::string &path : {trace1, stats1, trace4, stats4})
+        std::remove(path.c_str());
 }
 
 TEST(Scenario, FlagsOverrideSpecParams)

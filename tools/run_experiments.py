@@ -88,12 +88,6 @@ def run_spec(bench, path, workdir, digests):
     want_trace = bool(smoke.get("trace", True))
 
     trace_path = None
-    if want_trace:
-        # All sweep points share one --trace-out file; concurrent
-        # writers would interleave and corrupt it, so trace-validated
-        # runs are pinned to a single job.
-        args = [a for a in args if not a.startswith("--jobs")]
-        args.append("--jobs=1")
     cmd = [bench, path] + args
     if want_trace:
         trace_path = os.path.join(workdir, f"{name}.trace.json")
